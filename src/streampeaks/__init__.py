@@ -28,6 +28,7 @@ from streampeaks.errors import (
     DimensionMismatch,
     EngineStateError,
     MissingLabels,
+    NonFiniteInput,
     OutOfOrderTimestamp,
     StreamClusteringError,
     StreamFormatError,
@@ -64,6 +65,7 @@ __all__ = [
     "EvolutionEvent",
     "MissingLabels",
     "NoConsistentAlpha",
+    "NonFiniteInput",
     "OutOfOrderTimestamp",
     "OutlierReservoir",
     "StreamClusteringError",

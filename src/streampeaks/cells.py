@@ -4,55 +4,44 @@ Each arriving point is absorbed by the cell whose seed is nearest,
 provided that seed lies within the assignment radius r; otherwise the
 point founds a new inactive cell seeded at its own coordinates.  Cell
 densities are stored as (value, timestamp) pairs and decayed on read,
-so the store does no per-tick maintenance work.
+so the store does no per-tick maintenance work.  Every live seed also
+sits in one dense matrix, so a seed search is one vectorized pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from streampeaks.decay import DecayParams, absorb, decay_density
 from streampeaks.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     OutOfOrderTimestamp,
     UnknownCell,
 )
 
 Coords = tuple[float, ...]
 
+_INITIAL_CAPACITY = 16
+
 
 def seed_distance(a: Coords, b: Coords) -> float:
     """Euclidean distance between two coordinate tuples.
 
-    Written once and used by every code path (assignment scans,
-    relinking, scratch rebuilds in tests) so that repeated evaluation of
-    the same pair is bit-identical.
+    Written once and used by every scalar code path (relinking, scratch
+    rebuilds in tests) so that repeated evaluation of the same pair is
+    bit-identical.  ``CellSpace.nearest_seed`` repeats its order of
+    operations over whole seed columns and so returns the same bits.
     """
     s = 0.0
     for x, y in zip(a, b):
         d = x - y
         s += d * d
     return math.sqrt(s)
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Distance used for seed search and dependency distances.
-
-    ``triangle_ok`` declares that ``fn`` satisfies the triangle
-    inequality; the dependency-update triangle filter switches itself
-    off when it does not.
-    """
-
-    fn: Callable[[Coords, Coords], float]
-    triangle_ok: bool = True
-
-
-EUCLIDEAN = Metric(seed_distance, triangle_ok=True)
 
 
 @dataclass(frozen=True)
@@ -71,17 +60,15 @@ class StreamPoint:
 class ClusterCell:
     """One decaying summary cell.
 
-    ``dep`` and ``delta`` are meaningful only while the cell is active
-    and linked into the dependency forest; ``delta`` is the +inf
-    sentinel exactly when the cell has no denser cell to depend on.
+    ``active`` marks membership of the dependency forest; the forest
+    itself (``DPTree``) holds each active cell's dependency and its
+    dependent distance.
     """
 
     id: int
     seed: Coords
     rho_last: float
     t_last: float
-    dep: Optional[int] = None
-    delta: float = math.inf
     active: bool = False
 
 
@@ -103,125 +90,21 @@ class AssignResult:
     rho_after: float
 
 
-class MinIdTies:
-    """Deterministic tie resolution: smallest cell id wins."""
-
-    def choose(self, ids: Iterable[int]) -> int:
-        return min(ids)
-
-
-class SeededRandomTies:
-    """Random tie resolution behind a fixed seed.
-
-    Provided for fidelity experiments against the original random-pick
-    rule; the determinism guarantees elsewhere in the package assume
-    ``MinIdTies``.
-    """
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def choose(self, ids: Iterable[int]) -> int:
-        return self._rng.choice(sorted(ids))
-
-
-def _shell(dim: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Integer offsets at Chebyshev distance exactly k."""
-    if k == 0:
-        yield (0,) * dim
-        return
-    for off in itertools.product(range(-k, k + 1), repeat=dim):
-        if max(abs(o) for o in off) == k:
-            yield off
-
-
-class GridIndex:
-    """Uniform grid over seeds with bucket width r.
-
-    Exact, not approximate: bucket shells are scanned outward until no
-    unscanned bucket can hold a seed at the best distance found,
-    including exact ties, so results always match a linear scan.
-    """
-
-    def __init__(self, r: float):
-        self.r = float(r)
-        self.buckets: dict[tuple[int, ...], list[int]] = {}
-
-    def _key(self, coords: Coords) -> tuple[int, ...]:
-        return tuple(math.floor(x / self.r) for x in coords)
-
-    def add(self, cell_id: int, coords: Coords) -> None:
-        self.buckets.setdefault(self._key(coords), []).append(cell_id)
-
-    def remove(self, cell_id: int, coords: Coords) -> None:
-        key = self._key(coords)
-        bucket = self.buckets[key]
-        bucket.remove(cell_id)
-        if not bucket:
-            del self.buckets[key]
-
-    def scan(self, coords: Coords, seed_of: Callable[[int], Coords],
-             fn: Callable[[Coords, Coords], float],
-             out: Optional[dict[int, float]] = None) -> Optional[tuple[float, list[int]]]:
-        """Best distance and ALL cell ids attaining it, or None if empty.
-
-        ``out`` collects every distance computed along the way so later
-        consumers can reuse instead of recompute.
-        """
-        if not self.buckets:
-            return None
-        base = self._key(coords)
-        best = math.inf
-        best_ids: list[int] = []
-        kmax: Optional[int] = None
-        k = 0
-        while True:
-            for off in _shell(len(base), k):
-                bucket = self.buckets.get(tuple(b + o for b, o in zip(base, off)))
-                if not bucket:
-                    continue
-                for cid in bucket:
-                    d = fn(coords, seed_of(cid))
-                    if out is not None:
-                        out[cid] = d
-                    if d < best:
-                        best, best_ids = d, [cid]
-                    elif d == best:
-                        best_ids.append(cid)
-            k += 1
-            # Any seed in shell k lies at least (k-1)*r from the query.
-            if (k - 1) * self.r > best:
-                break
-            if kmax is None:
-                kmax = max(max(abs(b - c) for b, c in zip(key, base))
-                           for key in self.buckets)
-            if k > kmax:
-                break
-        return best, best_ids
-
-
-def index_for_dim(dim: int) -> str:
-    """Pick the seed index for a given dimensionality.
-
-    Grid shells enumerate 3^dim buckets per lookup; past a few dimensions
-    the plain scan wins.
-    """
-    return "grid" if dim <= 3 else "linear"
-
-
 class CellSpace:
     """All live cluster-cells, active tree members and reservoir outliers.
 
     Single-mutator: only the engine's ingest loop writes.  New cells get
     id = ordinal of the founding point, which keeps ids stable across
     runs that differ only in recycling behaviour.
+
+    Seeds are also kept column-major in ``_seeds`` (shape ``(dim,
+    capacity)``) with the owning ids in ``_ids``: rows ``[0, len)`` are
+    live, ``row_of`` maps a cell id to its row, and removing a cell
+    moves the last row into the freed one.
     """
 
     def __init__(self, params: DecayParams, r: float, dim: int, *,
-                 metric: Metric = EUCLIDEAN,
-                 ties: Optional[MinIdTies] = None,
                  out_of_order: str = "reject",
-                 index: str = "linear",
                  record_points: bool = False):
         if r <= 0.0:
             raise ValueError("assignment radius r must be positive")
@@ -229,22 +112,20 @@ class CellSpace:
             raise ValueError("dimension must be at least 1")
         if out_of_order not in ("reject", "clamp"):
             raise ValueError(f"unknown out_of_order mode {out_of_order!r}")
-        if index not in ("linear", "grid"):
-            raise ValueError(f"unknown index mode {index!r}")
         self.params = params
         self.r = float(r)
         self.dim = int(dim)
-        self.metric = metric
-        self.ties = ties if ties is not None else MinIdTies()
         self.out_of_order = out_of_order
         self.cells: dict[int, ClusterCell] = {}
         self.last_t = -math.inf
         self.points_seen = 0
-        # Distances computed by the most recent seed search, reusable by
-        # the dependency-update triangle filter.
-        self.last_scan: dict[int, float] = {}
-        # Bucket geometry assumes Euclidean lower bounds.
-        self._grid = GridIndex(r) if (index == "grid" and metric is EUCLIDEAN) else None
+        self.row_of: dict[int, int] = {}
+        self._seeds = np.empty((self.dim, _INITIAL_CAPACITY))
+        self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        # Distances from the most recent seed search to every seed then
+        # live, indexed by row; the dependency-update triangle filter
+        # reads them through ``row_of``.
+        self.last_scan = np.empty(0)
         self.point_log: Optional[dict[int, list[float]]] = {} if record_points else None
         self.on_new_cell: list[Callable[[ClusterCell], None]] = []
 
@@ -266,43 +147,56 @@ class CellSpace:
     def inactive_ids(self) -> list[int]:
         return [cid for cid, c in self.cells.items() if not c.active]
 
-    def _check_dim(self, coords: Coords) -> None:
+    def _check_coords(self, coords: Coords) -> None:
         if len(coords) != self.dim:
             raise DimensionMismatch(
                 f"point has dimension {len(coords)}, stream declared {self.dim}")
+        if not all(map(math.isfinite, coords)):
+            raise NonFiniteInput(f"point has a non-finite coordinate: {coords}")
 
-    def _scan_all(self, coords: Coords) -> Optional[tuple[float, list[int]]]:
-        if not self.cells:
+    def _scan(self, coords: Coords) -> Optional[tuple[int, float]]:
+        """Nearest seed by one pass over the seed matrix; fills
+        ``last_scan``.
+
+        Squares are summed dimension by dimension, in ``seed_distance``'s
+        order, so every distance carries the same bits as the scalar
+        function (seed minus point is the exact negation of point minus
+        seed, so the squares agree).  Never reduce with ``sum(axis=)``,
+        ``einsum`` or ``norm``: their summation order differs.  Exact
+        ties go to the smallest id.
+        """
+        n = len(self.cells)
+        if n == 0:
+            self.last_scan = np.empty(0)
             return None
-        best = math.inf
-        best_ids: list[int] = []
-        fn = self.metric.fn
-        scan = self.last_scan
-        for cid, cell in self.cells.items():
-            d = fn(coords, cell.seed)
-            scan[cid] = d
-            if d < best:
-                best, best_ids = d, [cid]
-            elif d == best:
-                best_ids.append(cid)
-        return best, best_ids
+        diff = self._seeds[:, :n] - np.array(coords)[:, None]
+        diff *= diff
+        scan = diff[0]
+        for j in range(1, self.dim):
+            scan += diff[j]
+        np.sqrt(scan, out=scan)
+        self.last_scan = scan
+        best = scan[scan.argmin()]
+        rows = (scan == best).nonzero()[0]
+        cid = self._ids[rows].min() if len(rows) > 1 else self._ids[rows[0]]
+        return int(cid), float(best)
 
     def nearest_seed(self, p: StreamPoint) -> Optional[tuple[int, float]]:
         """Nearest seed over ALL cells, active and inactive."""
-        self._check_dim(p.coords)
-        self.last_scan = {}
-        found = (self._grid.scan(p.coords, lambda cid: self.cells[cid].seed,
-                                 self.metric.fn, out=self.last_scan)
-                 if self._grid is not None else self._scan_all(p.coords))
-        if found is None:
-            return None
-        best, best_ids = found
-        return self.ties.choose(best_ids), best
+        self._check_coords(p.coords)
+        return self._scan(p.coords)
 
     def assign_point(self, p: StreamPoint) -> AssignResult:
-        """Absorb p into the nearest cell within r, or found a new cell."""
-        self._check_dim(p.coords)
+        """Absorb p into the nearest cell within r, or found a new cell.
+
+        Input is validated before any state changes, so a rejected point
+        leaves the store exactly as it was.
+        """
+        coords = p.coords
+        self._check_coords(coords)
         t = float(p.t)
+        if not math.isfinite(t):
+            raise NonFiniteInput(f"point has a non-finite timestamp: {t}")
         if t < self.last_t:
             if self.out_of_order == "reject":
                 raise OutOfOrderTimestamp(
@@ -311,7 +205,7 @@ class CellSpace:
         ordinal = self.points_seen
         self.points_seen += 1
         self.last_t = t
-        found = self.nearest_seed(StreamPoint(p.coords, t, p.label))
+        found = self._scan(coords)
         if found is not None and found[1] <= self.r:
             cid, dist = found
             cell = self.cells[cid]
@@ -322,16 +216,26 @@ class CellSpace:
                 self.point_log[cid].append(t)
             return AssignResult(cid, dist, created=False, t=t,
                                 rho_before=rho_before, rho_after=cell.rho_last)
-        cell = ClusterCell(id=ordinal, seed=p.coords, rho_last=1.0, t_last=t)
-        self.cells[cell.id] = cell
-        if self._grid is not None:
-            self._grid.add(cell.id, cell.seed)
+        cell = ClusterCell(id=ordinal, seed=coords, rho_last=1.0, t_last=t)
+        self._add_row(cell)
         if self.point_log is not None:
             self.point_log[cell.id] = [t]
         for callback in self.on_new_cell:
             callback(cell)
         return AssignResult(cell.id, found[1] if found is not None else math.inf,
                             created=True, t=t, rho_before=0.0, rho_after=1.0)
+
+    def _add_row(self, cell: ClusterCell) -> None:
+        row = len(self.cells)
+        if row == len(self._ids):
+            seeds = np.empty((self.dim, 2 * row))
+            seeds[:, :row] = self._seeds
+            self._seeds = seeds
+            self._ids = np.concatenate((self._ids, np.empty_like(self._ids)))
+        self._seeds[:, row] = cell.seed
+        self._ids[row] = cell.id
+        self.row_of[cell.id] = row
+        self.cells[cell.id] = cell
 
     def cell_density_at(self, cell_id: int, t: float) -> float:
         cell = self.cell(cell_id)
@@ -341,8 +245,13 @@ class CellSpace:
         """Forget a recycled cell entirely; its seed leaves the search set."""
         cell = self.cell(cell_id)
         del self.cells[cell_id]
-        if self._grid is not None:
-            self._grid.remove(cell_id, cell.seed)
+        row = self.row_of.pop(cell_id)
+        last = len(self.cells)
+        if row != last:
+            moved = int(self._ids[last])
+            self._seeds[:, row] = self._seeds[:, last]
+            self._ids[row] = moved
+            self.row_of[moved] = row
         if self.point_log is not None:
             self.point_log.pop(cell_id, None)
         return cell

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from streampeaks.cells import CellSpace, StreamPoint, index_for_dim
+from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.deptree import Cluster, ClusterSnapshot
 from streampeaks.engine import EngineConfig, StreamEngine
 from streampeaks.errors import (
@@ -151,7 +151,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # (initialization does not recycle, so a bare cell store matches)
     assignments: list[LabeledAssignment] = []
     params = config.decay_params()
-    shadow = CellSpace(params, config.r, dim, index=index_for_dim(dim))
+    shadow = CellSpace(params, config.r, dim)
     for p in points[:consumed]:
         res = shadow.assign_point(p)
         if p.label is not None:

@@ -19,7 +19,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from streampeaks.cells import CellSpace, Coords
+from streampeaks.cells import CellSpace, Coords, seed_distance
 from streampeaks.decay import density_order_key
 from streampeaks.errors import CellStateError
 
@@ -85,26 +85,19 @@ class ClusterSnapshot:
 
 
 class PointDistances:
-    """Memoized point-to-seed distances for one arriving point.
+    """Distances from the arriving point to every live seed, read from
+    the store's last seed search without copying it.
 
-    The assignment scan prefills it; triangle-filter lookups outside the
-    scanned set fall back to fresh (counted) evaluations.
+    Valid until the store next adds or removes a cell, which the engine
+    never does between an absorption and its dependency updates.
     """
 
-    def __init__(self, coords: Coords, space: CellSpace,
-                 precomputed: Optional[dict[int, float]] = None):
-        self.coords = coords
-        self._space = space
-        self._d = dict(precomputed) if precomputed else {}
-        self.misses = 0
+    def __init__(self, space: CellSpace):
+        self._scan = space.last_scan
+        self._row_of = space.row_of
 
     def get(self, cell_id: int) -> float:
-        d = self._d.get(cell_id)
-        if d is None:
-            d = self._space.metric.fn(self.coords, self._space.cell(cell_id).seed)
-            self._d[cell_id] = d
-            self.misses += 1
-        return d
+        return float(self._scan[self._row_of[cell_id]])
 
 
 class DPTree:
@@ -112,16 +105,14 @@ class DPTree:
 
     ``_order`` holds (-key, id) pairs sorted ascending, densest first,
     so the cells a density jump overtook sit in one contiguous slice.
-    ``seed_distance_evals`` counts seed-to-seed metric calls made by
+    ``seed_distance_evals`` counts seed-to-seed distances computed by
     dependency maintenance; the update filters exist to shrink it.
     """
 
-    def __init__(self, space: CellSpace, *, filters: str = "both", ties=None):
+    def __init__(self, space: CellSpace, *, filters: str = "both"):
         if filters not in FILTER_MODES:
             raise ValueError(f"unknown filter mode {filters!r}")
         self.space = space
-        self.metric = space.metric
-        self.ties = ties if ties is not None else space.ties
         self.filters = filters
         self.parent: dict[int, Optional[int]] = {}
         self.children: dict[int, set[int]] = {}
@@ -132,14 +123,14 @@ class DPTree:
         self.filter_skips = 0
 
     @classmethod
-    def build(cls, space: CellSpace, *, filters: str = "both", ties=None) -> "DPTree":
+    def build(cls, space: CellSpace, *, filters: str = "both") -> "DPTree":
         """Forest from scratch over the currently active cells.
 
         Inserting densest-first means no insertion ever triggers a
         relink, so this is also the reference the incremental updates
         are tested against.
         """
-        tree = cls(space, filters=filters, ties=ties)
+        tree = cls(space, filters=filters)
         params = space.params
         order = sorted(
             space.active_ids(),
@@ -164,7 +155,7 @@ class DPTree:
 
     def _dist(self, a: Coords, b: Coords) -> float:
         self.seed_distance_evals += 1
-        return self.metric.fn(a, b)
+        return seed_distance(a, b)
 
     def _rank(self, cell_id: int) -> tuple[float, int]:
         return (-self.key[cell_id], cell_id)
@@ -208,7 +199,7 @@ class DPTree:
                 best_ids.append(e)
         if not best_ids:
             return None, math.inf
-        return self.ties.choose(best_ids), best
+        return min(best_ids), best
 
     def insert_active(self, c: int,
                       point_dists: Optional[PointDistances] = None) -> list[Relink]:
@@ -233,8 +224,7 @@ class DPTree:
 
         pos = bisect_left(self._order, rank_c)
         below = [e for _, e in self._order[pos + 1:]]
-        use_triangle = (self.filters == "both" and point_dists is not None
-                        and self.metric.triangle_ok)
+        use_triangle = self.filters == "both" and point_dists is not None
         dist_p_c = point_dists.get(c) if use_triangle else 0.0
         records = []
         seed_c = cell.seed
@@ -277,8 +267,7 @@ class DPTree:
         else:
             candidates = band
             self.filter_skips += len(self._order) - pos_new - 1 - len(band)
-        use_triangle = (self.filters == "both" and point_dists is not None
-                        and self.metric.triangle_ok)
+        use_triangle = self.filters == "both" and point_dists is not None
         dist_p_c = point_dists.get(c) if use_triangle else 0.0
         records = []
         seed_c = self.space.cell(c).seed

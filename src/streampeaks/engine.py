@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from streampeaks.cells import (AssignResult, CellSpace, StreamPoint,
-                               index_for_dim)
+from streampeaks.cells import AssignResult, CellSpace, StreamPoint
 from streampeaks.decay import DecayParams, active_threshold
 from streampeaks.deptree import (
     FILTER_MODES,
@@ -153,8 +152,7 @@ class StreamEngine:
     def __init__(self, config: EngineConfig, dim: int):
         self.config = config
         self.params = config.decay_params()
-        self.space = CellSpace(self.params, config.r, dim,
-                               index=index_for_dim(dim))
+        self.space = CellSpace(self.params, config.r, dim)
         self.tree: Optional[DPTree] = None
         self.reservoir: Optional[OutlierReservoir] = None
         self.tau_state: Optional[TauState] = None
@@ -234,8 +232,7 @@ class StreamEngine:
         self._counts["points"] += 1
         self.now = res.t
         if not res.created:
-            pd = PointDistances(p.coords, self.space,
-                                precomputed=self.space.last_scan)
+            pd = PointDistances(self.space)
             if self.space.cell(res.cell_id).active:
                 relinks = self.tree.on_density_increase(res.cell_id, pd)
                 self._counts["relinks"] += len(relinks)

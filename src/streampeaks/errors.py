@@ -9,6 +9,10 @@ class DimensionMismatch(StreamClusteringError):
     """Point dimensionality differs from the stream's declared dimension."""
 
 
+class NonFiniteInput(StreamClusteringError, ValueError):
+    """Point coordinate or timestamp is NaN or infinite."""
+
+
 class OutOfOrderTimestamp(StreamClusteringError):
     """Point arrived with a timestamp earlier than one already processed."""
 

@@ -13,7 +13,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from streampeaks.cells import CellSpace
+from streampeaks.cells import CellSpace, seed_distance
 from streampeaks.decay import DecayParams, freshness
 from streampeaks.deptree import Cluster, ClusterSnapshot
 from streampeaks.errors import MissingLabels
@@ -109,13 +109,12 @@ def recompute_all(space: CellSpace, t: float
     """
     active = sorted(space.active_ids(),
                     key=lambda cid: (-space.cell_density_at(cid, t), cid))
-    fn = space.metric.fn
     out: dict[int, tuple[Optional[int], float]] = {}
     for pos, cid in enumerate(active):
         seed = space.cell(cid).seed
         best, best_j = math.inf, None
         for j in active[:pos]:
-            d = fn(seed, space.cell(j).seed)
+            d = seed_distance(seed, space.cell(j).seed)
             if d < best or (d == best and (best_j is None or j < best_j)):
                 best, best_j = d, j
         out[cid] = (best_j, best)

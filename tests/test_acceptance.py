@@ -278,8 +278,7 @@ def _delta_monotonicity_case(rng) -> None:
     c = int(rng.choice(tree.nodes()))
     res = sp.assign_point(StreamPoint.of(sp.cell(c).seed, 0.1))
     assert res.cell_id == c and not res.created
-    relinks = tree.on_density_increase(
-        c, PointDistances(None, sp, sp.last_scan))
+    relinks = tree.on_density_increase(c, PointDistances(sp))
     assert tree.delta[c] >= before[c]
     for rl in relinks:
         if rl.cell == c:
@@ -294,7 +293,7 @@ def _nearest_denser_case(rng) -> None:
     sp, tree = _random_tree(rng)
     c = int(rng.choice(tree.nodes()))
     sp.assign_point(StreamPoint.of(sp.cell(c).seed, 0.1))
-    tree.on_density_increase(c, PointDistances(None, sp, sp.last_scan))
+    tree.on_density_increase(c, PointDistances(sp))
     for a in tree.nodes():
         seed_a = sp.cell(a).seed
         for b in tree.nodes():

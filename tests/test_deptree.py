@@ -161,7 +161,7 @@ class TestOnDensityIncrease:
             cid, res = _absorb_random(sp, tree, rng, t, apply=False)
             others = {e: sp.cell_density_at(e, res.t)
                       for e in tree.nodes() if e != cid}
-            records = tree.on_density_increase(cid, _point_dists(sp, res))
+            records = tree.on_density_increase(cid, PointDistances(sp))
             for rec in records:
                 if rec.cell == cid:
                     continue
@@ -304,12 +304,8 @@ def _absorb_random(sp, tree, rng, t, apply=True):
     res = sp.assign_point(p)
     assert res.cell_id == cid and not res.created
     if apply:
-        tree.on_density_increase(cid, _point_dists(sp, res))
+        tree.on_density_increase(cid, PointDistances(sp))
     return cid, res
-
-
-def _point_dists(sp, res):
-    return PointDistances(None, sp, sp.last_scan)
 
 
 class TestIncrementalEqualsScratch:
@@ -386,7 +382,7 @@ class TestFilterEquivalence:
             for mode, (sp, tree, rng, t) in replicas.items():
                 t += float(rng.random()) * 0.3
                 cid, res = _absorb_random(sp, tree, rng, t, apply=False)
-                records = tree.on_density_increase(cid, _point_dists(sp, res))
+                records = tree.on_density_increase(cid, PointDistances(sp))
                 outputs[mode] = (cid, records, tree.forest_state())
                 replicas[mode] = (sp, tree, rng, t)
             assert outputs["off"] == outputs["density"] == outputs["both"]

@@ -8,7 +8,8 @@ from streampeaks.cells import StreamPoint
 from streampeaks.deptree import DPTree
 from streampeaks.decay import active_threshold
 from streampeaks.engine import CONFIG_KEYS, EngineConfig, StreamEngine
-from streampeaks.errors import ConfigError, EngineStateError
+from streampeaks.errors import (ConfigError, EngineStateError,
+                                 StreamClusteringError)
 from streampeaks.evolution import EvolutionEvent
 from streampeaks.scenarios import builtin, generate
 
@@ -308,6 +309,31 @@ class TestSweepCadence:
             eng.process_point(StreamPoint((0.0,), 0.0))
         with pytest.raises(EngineStateError):
             eng.snapshot()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("coord, t", [
+        (math.nan, None), (math.inf, None), (None, math.nan), (None, -math.inf)])
+    def test_rejected_without_state_change(self, coord, t):
+        """A rejected point leaves the engine exactly as if it never
+        arrived."""
+        eng = run_mix(650)
+        good = mix_prefix(651)[650]
+        bad = StreamPoint((good.coords[0], good.coords[1] if coord is None else coord),
+                          good.t if t is None else t)
+
+        def state():
+            return (eng.space.points_seen, eng.space.last_t, eng.now,
+                    eng.counters(), eng.tree.forest_state(), len(eng.space))
+
+        before = state()
+        with pytest.raises(StreamClusteringError):
+            eng.process_point(bad)
+        assert state() == before
+        eng.process_point(good)
+        ref = run_mix(651)
+        assert eng.counters() == ref.counters()
+        assert eng.tree.forest_state() == ref.tree.forest_state()
 
 
 class TestDeterminism:
