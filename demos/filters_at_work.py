@@ -24,7 +24,7 @@ def main() -> None:
     stream = generate(builtin("sds"), seed=7)
     base = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
                         tau0=5.0, alpha=0.01, init_cell_count=10,
-                        sweep_interval=100, seed=7)
+                        sweep_interval=100)
 
     engines = {mode: run(replace(base, filters=mode), stream)
                for mode in ("off", "density", "both")}

@@ -22,8 +22,7 @@ PHASES = [
 def main() -> None:
     stream = generate(builtin("sds"), seed=7)
     config = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
-                          tau0=5.0, init_cell_count=10, sweep_interval=100,
-                          seed=7)
+                          tau0=5.0, init_cell_count=10, sweep_interval=100)
     engine = StreamEngine(config, dim=2)
     engine.initialize(stream[:1000])
     print(f"warm-up done: alpha learned as {engine.alpha_learned}, "

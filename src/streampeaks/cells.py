@@ -11,8 +11,8 @@ sits in one dense matrix, so a seed search is one vectorized pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -103,19 +103,14 @@ class CellSpace:
     moves the last row into the freed one.
     """
 
-    def __init__(self, params: DecayParams, r: float, dim: int, *,
-                 out_of_order: str = "reject",
-                 record_points: bool = False):
+    def __init__(self, params: DecayParams, r: float, dim: int):
         if r <= 0.0:
             raise ValueError("assignment radius r must be positive")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        if out_of_order not in ("reject", "clamp"):
-            raise ValueError(f"unknown out_of_order mode {out_of_order!r}")
         self.params = params
         self.r = float(r)
         self.dim = int(dim)
-        self.out_of_order = out_of_order
         self.cells: dict[int, ClusterCell] = {}
         self.last_t = -math.inf
         self.points_seen = 0
@@ -126,8 +121,6 @@ class CellSpace:
         # live, indexed by row; the dependency-update triangle filter
         # reads them through ``row_of``.
         self.last_scan = np.empty(0)
-        self.point_log: Optional[dict[int, list[float]]] = {} if record_points else None
-        self.on_new_cell: list[Callable[[ClusterCell], None]] = []
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -198,10 +191,8 @@ class CellSpace:
         if not math.isfinite(t):
             raise NonFiniteInput(f"point has a non-finite timestamp: {t}")
         if t < self.last_t:
-            if self.out_of_order == "reject":
-                raise OutOfOrderTimestamp(
-                    f"point at t={t} after watermark t={self.last_t}")
-            t = self.last_t
+            raise OutOfOrderTimestamp(
+                f"point at t={t} after watermark t={self.last_t}")
         ordinal = self.points_seen
         self.points_seen += 1
         self.last_t = t
@@ -212,16 +203,10 @@ class CellSpace:
             rho_before = decay_density(self.params, cell.rho_last, cell.t_last, t)
             cell.rho_last = absorb(self.params, cell.rho_last, cell.t_last, t)
             cell.t_last = t
-            if self.point_log is not None:
-                self.point_log[cid].append(t)
             return AssignResult(cid, dist, created=False, t=t,
                                 rho_before=rho_before, rho_after=cell.rho_last)
         cell = ClusterCell(id=ordinal, seed=coords, rho_last=1.0, t_last=t)
         self._add_row(cell)
-        if self.point_log is not None:
-            self.point_log[cell.id] = [t]
-        for callback in self.on_new_cell:
-            callback(cell)
         return AssignResult(cell.id, found[1] if found is not None else math.inf,
                             created=True, t=t, rho_before=0.0, rho_after=1.0)
 
@@ -252,10 +237,4 @@ class CellSpace:
             self._seeds[:, row] = self._seeds[:, last]
             self._ids[row] = moved
             self.row_of[moved] = row
-        if self.point_log is not None:
-            self.point_log.pop(cell_id, None)
         return cell
-
-    def copy_cells(self) -> dict[int, ClusterCell]:
-        """Deep value copy, safe to hand to another thread."""
-        return {cid: replace(c) for cid, c in self.cells.items()}

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from streampeaks.cells import CellSpace, StreamPoint
+from streampeaks.cells import StreamPoint
 from streampeaks.deptree import Cluster, ClusterSnapshot
 from streampeaks.engine import EngineConfig, StreamEngine
 from streampeaks.errors import (
@@ -78,21 +78,17 @@ def _cmd_init(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_state(path: str) -> tuple[EngineConfig, float, int, int]:
-    try:
-        state = json.loads(Path(path).read_text())
-        config = EngineConfig.from_mapping(state["config"])
-        return config, float(state["alpha"]), int(state["consumed"]), \
-            int(state["dim"])
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"unusable state file {path}: {exc}") from None
-
-
 def _resume(state_path: str, points: Sequence[StreamPoint]
             ) -> tuple[StreamEngine, Sequence[StreamPoint]]:
     """Rebuild the engine recorded in the state file by replaying the
     consumed prefix; runs are deterministic, so the result is exact."""
-    config, alpha, consumed, dim = _load_state(state_path)
+    try:
+        state = json.loads(Path(state_path).read_text())
+        config = EngineConfig.from_mapping(state["config"])
+        alpha, consumed, dim = (float(state["alpha"]), int(state["consumed"]),
+                                int(state["dim"]))
+    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"unusable state file {state_path}: {exc}") from None
     if len(points) < consumed:
         raise ConfigError(f"state consumed {consumed} rows but the input "
                           f"has only {len(points)}")
@@ -141,27 +137,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not labeled:
         print("eval: input stream carries no labels", file=sys.stderr)
         return EXIT_LABELS
-    config, alpha, consumed, dim = _load_state(args.state)
+    engine, rest = _resume(args.state, points)
     files = list(list_snapshots(args.snapshots))
-    if len(points) < consumed:
-        raise ConfigError(f"state consumed {consumed} rows but the input "
-                          f"has only {len(points)}")
-
-    # point-to-cell assignment for the prefix: replay absorption alone
-    # (initialization does not recycle, so a bare cell store matches)
-    assignments: list[LabeledAssignment] = []
-    params = config.decay_params()
-    shadow = CellSpace(params, config.r, dim)
-    for p in points[:consumed]:
-        res = shadow.assign_point(p)
-        if p.label is not None:
-            assignments.append(LabeledAssignment(res.cell_id, p.label, p.t))
-
-    engine = StreamEngine(replace(config, alpha=alpha), dim=dim)
-    engine.initialize(points[:consumed])
+    assignments = [LabeledAssignment(res.cell_id, p.label, p.t)
+                   for p, res in zip(points, engine.prefix_assignments)
+                   if p.label is not None]
     rows: list[tuple[float, str, float]] = []
     seen_sweeps = 0
-    for p in points[consumed:]:
+    for p in rest:
         engine.process_point(p)
         if p.label is not None:
             assignments.append(
@@ -178,7 +161,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     f"t={time}, replay reached t={engine.now}")
             snap = _snapshot_from_rows(time, file_rows)
             try:
-                purity = weighted_purity(snap, assignments, params, time)
+                purity = weighted_purity(snap, assignments, engine.params, time)
             except MissingLabels:
                 continue  # no clustered labeled mass yet, nothing to score
             rows.append((time, "weighted_purity", purity))

@@ -223,12 +223,25 @@ class DPTree:
         self._set_link(c, dep, delta)
 
         pos = bisect_left(self._order, rank_c)
-        below = [e for _, e in self._order[pos + 1:]]
+        records = self._relink_to(c, [e for _, e in self._order[pos + 1:]],
+                                  point_dists)
+        records.sort(key=lambda rec: rec.cell)
+        return records
+
+    def _relink_to(self, c: int, candidates: list[int],
+                   point_dists: Optional[PointDistances]) -> list[Relink]:
+        """Link to c every candidate whose seed lies nearer to c than to
+        its current dependency (equal distance goes to the smaller id).
+
+        With both filters on, the triangle filter rules candidates out
+        from the absorbed point's distances before any exact seed
+        distance is computed.
+        """
         use_triangle = self.filters == "both" and point_dists is not None
         dist_p_c = point_dists.get(c) if use_triangle else 0.0
         records = []
-        seed_c = cell.seed
-        for e in below:
+        seed_c = self.space.cell(c).seed
+        for e in candidates:
             de = self.delta[e]
             if (use_triangle and math.isfinite(de)
                     and triangle_filter_skips(point_dists.get(e), dist_p_c, de)):
@@ -239,7 +252,6 @@ class DPTree:
             if d < de or (d == de and pe is not None and c < pe):
                 records.append(Relink(e, pe, c, de, d))
                 self._set_link(e, c, d)
-        records.sort(key=lambda rec: rec.cell)
         return records
 
     def on_density_increase(self, c: int,
@@ -267,21 +279,7 @@ class DPTree:
         else:
             candidates = band
             self.filter_skips += len(self._order) - pos_new - 1 - len(band)
-        use_triangle = self.filters == "both" and point_dists is not None
-        dist_p_c = point_dists.get(c) if use_triangle else 0.0
-        records = []
-        seed_c = self.space.cell(c).seed
-        for e in candidates:
-            de = self.delta[e]
-            if (use_triangle and math.isfinite(de)
-                    and triangle_filter_skips(point_dists.get(e), dist_p_c, de)):
-                self.filter_skips += 1
-                continue
-            d = self._dist(seed_c, self.space.cell(e).seed)
-            pe = self.parent[e]
-            if d < de or (d == de and pe is not None and c < pe):
-                records.append(Relink(e, pe, c, de, d))
-                self._set_link(e, c, d)
+        records = self._relink_to(c, candidates, point_dists)
 
         # c's own denser set shrank by exactly the band; its stored link
         # can only be stale if the old dependency is in that band.

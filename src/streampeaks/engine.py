@@ -38,8 +38,7 @@ from streampeaks.tau import (
 )
 
 CONFIG_KEYS = ("a", "lambda", "v", "beta", "r", "tau0", "alpha",
-               "init_cell_count", "sweep_interval", "recycle", "filters",
-               "seed")
+               "init_cell_count", "sweep_interval", "recycle", "filters")
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True,
                "off": False, "false": False, "0": False}
@@ -60,7 +59,6 @@ class EngineConfig:
     sweep_interval: int = 100
     recycle: bool = True
     filters: str = "both"
-    seed: int = 0
 
     def __post_init__(self):
         self.decay_params()
@@ -113,7 +111,7 @@ class EngineConfig:
                     kwargs[key] = float(value)
                 elif key == "lambda":
                     kwargs["lam"] = float(value)
-                elif key in ("init_cell_count", "sweep_interval", "seed"):
+                elif key in ("init_cell_count", "sweep_interval"):
                     kwargs[key] = int(value)
                 elif key == "recycle":
                     if value.lower() not in _BOOL_WORDS:
@@ -121,6 +119,8 @@ class EngineConfig:
                     kwargs["recycle"] = _BOOL_WORDS[value.lower()]
                 elif key == "filters":
                     kwargs["filters"] = {"density-only": "density"}.get(value, value)
+                else:
+                    raise ConfigError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return cls(**kwargs)
@@ -132,7 +132,7 @@ class EngineConfig:
                "init_cell_count": str(self.init_cell_count),
                "sweep_interval": str(self.sweep_interval),
                "recycle": "on" if self.recycle else "off",
-               "filters": self.filters, "seed": str(self.seed)}
+               "filters": self.filters}
         if self.tau0 is not None:
             out["tau0"] = repr(self.tau0)
         if self.alpha is not None:
@@ -160,6 +160,7 @@ class StreamEngine:
         self.log = EventLog()
         self.last_snapshot: Optional[ClusterSnapshot] = None
         self.last_assign: Optional[AssignResult] = None
+        self.prefix_assignments: list[AssignResult] = []
         self.now = -math.inf
         self.sweep_count = 0
         self._since_sweep = 0
@@ -178,6 +179,9 @@ class StreamEngine:
 
         The activity partition is settled once at the buffer's last
         timestamp, so initialization matches a sweep boundary exactly.
+        A buffer that fails leaves the engine untouched, so it can be
+        initialized again.  ``prefix_assignments`` keeps the buffer's
+        assignment results, in buffer order.
         """
         if self.initialized:
             raise EngineStateError("engine is already initialized")
@@ -186,41 +190,37 @@ class StreamEngine:
         points = list(points)
         if not points:
             raise ConfigError("initialization buffer is empty")
-        for p in points:
-            res = self.space.assign_point(p)
-            self._counts["points"] += 1
-            if res.created:
-                self._counts["new_cells"] += 1
-        t = self.space.last_t
-        if len(self.space) < self.config.init_cell_count:
+        space = CellSpace(self.params, self.config.r, self.space.dim)
+        assigned = [space.assign_point(p) for p in points]
+        t = space.last_t
+        if len(space) < self.config.init_cell_count:
             raise ConfigError(
-                f"initialization buffer produced {len(self.space)} cells, "
+                f"initialization buffer produced {len(space)} cells, "
                 f"need at least {self.config.init_cell_count}")
         threshold = active_threshold(self.params)
-        for cell in self.space.cells.values():
-            cell.active = self.space.cell_density_at(cell.id, t) >= threshold
-        self.tree = DPTree.build(self.space, filters=self.config.filters)
-        self.reservoir = OutlierReservoir(self.space, self.tree)
-        for cid in self.space.inactive_ids():
-            self.reservoir.put(cid, self.space.cell(cid).t_last)
-        self.space.on_new_cell.append(self._track_new_cell)
-        deltas = list(self.tree.delta.values())
+        for cell in space.cells.values():
+            cell.active = space.cell_density_at(cell.id, t) >= threshold
+        tree = DPTree.build(space, filters=self.config.filters)
+        deltas = list(tree.delta.values())
         if self.config.alpha is not None:
             alpha = self.config.alpha
         else:
             alpha = learn_alpha(deltas, self.config.tau0)
             self.alpha_learned = alpha
+        self.space, self.tree = space, tree
+        self.prefix_assignments = assigned
+        self._counts["points"] += len(assigned)
+        self._counts["new_cells"] += len(space)
+        self.reservoir = OutlierReservoir(space, tree)
+        for cid in space.inactive_ids():
+            self.reservoir.put(cid, space.cell(cid).t_last)
         self.tau_state = TauState(alpha, self.config.tau0,
                                   tuple(candidate_taus(deltas)))
-        graph = decision_graph(self.tree, t)
-        self.last_snapshot = self.tree.extract_clusters(
+        graph = decision_graph(tree, t)
+        self.last_snapshot = tree.extract_clusters(
             self.config.tau0, t, outliers=tuple(self.reservoir.ids()))
         self.now = t
         return graph
-
-    def _track_new_cell(self, cell) -> None:
-        self._counts["new_cells"] += 1
-        self.reservoir.put(cell.id, cell.t_last)
 
     def process_point(self, p: StreamPoint) -> list[EvolutionEvent]:
         """Ingest one point; returns the events of the sweep it closed,
@@ -231,7 +231,10 @@ class StreamEngine:
         self.last_assign = res
         self._counts["points"] += 1
         self.now = res.t
-        if not res.created:
+        if res.created:
+            self._counts["new_cells"] += 1
+            self.reservoir.put(res.cell_id, res.t)
+        else:
             pd = PointDistances(self.space)
             if self.space.cell(res.cell_id).active:
                 relinks = self.tree.on_density_increase(res.cell_id, pd)
@@ -264,12 +267,8 @@ class StreamEngine:
         self.last_snapshot = snap
         return events
 
-    def snapshot(self, t: Optional[float] = None) -> ClusterSnapshot:
-        """Current clustering; forces a sweep at the current time.
-
-        ``t`` is accepted for API symmetry but clamped to the engine's
-        clock: the engine can neither rewind nor see the future.
-        """
+    def snapshot(self) -> ClusterSnapshot:
+        """Current clustering; forces a sweep at the engine's clock."""
         if not self.initialized:
             raise EngineStateError("initialize the engine before snapshots")
         self._sweep(self.now)

@@ -39,8 +39,7 @@ REF = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 
 # the moving-blob narrative: alpha is learned from the init buffer
 SDS_CFG = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
-                       tau0=5.0, init_cell_count=10, sweep_interval=100,
-                       seed=7)
+                       tau0=5.0, init_cell_count=10, sweep_interval=100)
 
 # the same stream at unit expected rate; alpha set explicitly because no
 # cell is active at init under the 1050-point threshold
@@ -48,7 +47,7 @@ UNIT_RATE_CFG = replace(SDS_CFG, lam=1.0, alpha=0.01)
 
 MIX_CFG = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
                        tau0=5.0, alpha=0.05, init_cell_count=10,
-                       sweep_interval=100, seed=5)
+                       sweep_interval=100)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -307,7 +306,6 @@ def _state_machine_suite(steps: int) -> None:
     sp = CellSpace(params, r=0.4, dim=2)
     tree = DPTree(sp)
     res = OutlierReservoir(sp, tree)
-    sp.on_new_cell.append(lambda cell: res.put(cell.id, cell.t_last))
     rng = np.random.default_rng(3)
     deleted: set[int] = set()
     t = 0.0
@@ -316,6 +314,8 @@ def _state_machine_suite(steps: int) -> None:
         xy = (rng.normal(0.0, 1.0, size=2) if step % 3
               else rng.uniform(-4.0, 4.0, size=2))
         out = sp.assign_point(StreamPoint.of(xy, t))
+        if out.created:
+            res.put(out.cell_id, out.t)
         if not sp.cell(out.cell_id).active:
             res.try_activate(out.cell_id, t)
         if step % 50 == 49:

@@ -3,13 +3,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from streampeaks.cells import StreamPoint
+from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.cli import main
+from streampeaks.engine import EngineConfig, StreamEngine
+from streampeaks.errors import MissingLabels
+from streampeaks.reference import LabeledAssignment, weighted_purity
 from streampeaks.streams import (
     list_snapshots,
     read_counters,
@@ -28,7 +32,6 @@ v = 1000
 beta = 0.0021
 tau0 = 5
 sweep_interval = 100
-seed = 7
 """
 
 MIX_CONFIG = """\
@@ -40,7 +43,6 @@ beta = 0.0021
 tau0 = 5
 alpha = 0.05
 sweep_interval = 100
-seed = 5
 """
 
 HDS_CONFIG = """\
@@ -52,7 +54,6 @@ beta = 0.0042
 tau0 = 6
 alpha = 0.05
 sweep_interval = 100
-seed = 3
 """
 
 TOY_CONFIG = """\
@@ -105,6 +106,40 @@ def round_trip(root: Path, scenario: str, seed: int, config: str,
                  "--snapshots", str(ns.snapshots),
                  "--out", str(ns.scores)]) == 0
     return ns
+
+
+def reference_eval(ns: SimpleNamespace) -> list[tuple[float, str, float]]:
+    """Eval rows computed apart from the CLI: the prefix's cells come
+    from replaying it into a bare cell store (initialization does not
+    recycle, so the store matches), the rest from ``last_assign``, and
+    each sweep is scored on the engine's own clustering."""
+    points, _ = read_stream(ns.stream)
+    state = json.loads(ns.state.read_text())
+    config = EngineConfig.from_mapping(state["config"])
+    consumed, dim = state["consumed"], state["dim"]
+    shadow = CellSpace(config.decay_params(), config.r, dim)
+    assignments = []
+    for p in points[:consumed]:
+        res = shadow.assign_point(p)
+        if p.label is not None:
+            assignments.append(LabeledAssignment(res.cell_id, p.label, p.t))
+    engine = StreamEngine(replace(config, alpha=state["alpha"]), dim=dim)
+    engine.initialize(points[:consumed])
+    rows = []
+    for p in points[consumed:]:
+        sweeps = engine.sweep_count
+        engine.process_point(p)
+        if p.label is not None:
+            assignments.append(
+                LabeledAssignment(engine.last_assign.cell_id, p.label, p.t))
+        if engine.sweep_count > sweeps:
+            try:
+                rows.append((engine.now, "weighted_purity",
+                             weighted_purity(engine.last_snapshot, assignments,
+                                             engine.params, engine.now)))
+            except MissingLabels:
+                pass
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +303,15 @@ class TestExitCodes:
         assert code == 2
         assert "coordinates" in capsys.readouterr().err
 
+    def test_state_with_unknown_config_key(self, toy_run, tmp_path, capsys):
+        state = json.loads(toy_run.state.read_text())
+        state["config"]["tua0"] = state["config"].pop("tau0")
+        bad = tmp_path / "bad_state.json"
+        bad.write_text(json.dumps(state))
+        code = main(["run", str(toy_run.stream), "--state", str(bad)])
+        assert code == 2
+        assert "unknown key 'tua0'" in capsys.readouterr().err
+
     def test_malformed_row_reports_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x1,label\n"
@@ -330,6 +374,9 @@ class TestEvalScores:
         recovered = [v for t, _, v in rows if t >= 19.0]
         assert recovered and min(recovered) >= 0.95
 
+    def test_scores_equal_the_reference_exactly(self, sds_run):
+        assert read_eval(sds_run.scores) == reference_eval(sds_run)
+
 
 class TestBuiltinRoundTrips:
     def test_sds(self, sds_run):
@@ -337,7 +384,7 @@ class TestBuiltinRoundTrips:
 
     def test_mix(self, tmp_path):
         ns = round_trip(tmp_path, "mix", 5, MIX_CONFIG, init_rows=500)
-        assert read_eval(ns.scores)
+        assert read_eval(ns.scores) == reference_eval(ns) != []
 
     def test_hds(self, tmp_path):
         ns = round_trip(tmp_path, "hds", 3, HDS_CONFIG, init_rows=500)

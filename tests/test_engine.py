@@ -24,7 +24,7 @@ def mix_prefix(n, seed=5):
 
 MIX_CFG = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
                        tau0=5.0, alpha=0.05, init_cell_count=10,
-                       sweep_interval=100, seed=5)
+                       sweep_interval=100)
 
 
 def run_mix(n, config=MIX_CFG, init_n=500):
@@ -51,7 +51,6 @@ init_cell_count = 10
 sweep_interval = 100
 recycle = on
 filters = both
-seed = 7
 """
 
     def write(self, tmp_path, text):
@@ -65,7 +64,6 @@ seed = 7
         assert cfg.r == 1.6
         assert cfg.recycle is True
         assert cfg.filters == "both"
-        assert cfg.seed == 7
 
     def test_defaults_fill_gaps(self, tmp_path):
         cfg = EngineConfig.from_file(self.write(tmp_path, "r = 2.0\n"))
@@ -112,7 +110,7 @@ seed = 7
 
     def test_mapping_round_trip(self):
         cfg = EngineConfig(r=1.6, lam=1000.0, tau0=5.0, alpha=0.05,
-                           recycle=False, filters="off", seed=3)
+                           recycle=False, filters="off")
         assert EngineConfig.from_mapping(cfg.to_mapping()) == cfg
 
     def test_every_config_key_is_accepted(self, tmp_path):
@@ -120,7 +118,7 @@ seed = 7
             ("a", "0.9"), ("lambda", "2"), ("v", "10"), ("beta", "0.3"),
             ("r", "1"), ("tau0", "4"), ("alpha", "0.2"),
             ("init_cell_count", "3"), ("sweep_interval", "9"),
-            ("recycle", "off"), ("filters", "off"), ("seed", "1")])
+            ("recycle", "off"), ("filters", "off")])
         cfg = EngineConfig.from_file(self.write(tmp_path, text))
         assert set(cfg.to_mapping()) == set(CONFIG_KEYS)
 
@@ -202,12 +200,34 @@ class TestInitialize:
         assert eng.tree.parent == scratch.parent
         assert eng.tree.delta == scratch.delta
 
+    @pytest.mark.parametrize("failure", ["nan-mid-buffer", "too-few-cells"])
+    def test_failed_buffer_leaves_nothing_behind(self, failure):
+        """A rejected buffer leaves the engine as constructed, so a retry
+        with a good buffer matches a fresh engine."""
+        good = mix_prefix(500)
+        if failure == "nan-mid-buffer":
+            bad = list(good)
+            bad[300] = StreamPoint((math.nan, good[300].coords[1]), good[300].t)
+        else:
+            bad = good[:3]
+        eng = StreamEngine(MIX_CFG, dim=2)
+        with pytest.raises(StreamClusteringError):
+            eng.initialize(bad)
+        assert not eng.initialized
+        assert len(eng.space) == 0
+        assert eng.counters()["points"] == 0
+        eng.initialize(good)
+        fresh = StreamEngine(MIX_CFG, dim=2)
+        fresh.initialize(good)
+        assert eng.tree.forest_state() == fresh.tree.forest_state()
+        assert eng.counters() == fresh.counters()
+
 
 class TestAlphaLearning:
     def test_two_blob_stream_learns_alpha(self):
         stream = generate(builtin("sds"), seed=7)[:1000]
         cfg = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
-                           tau0=5.0, sweep_interval=100, seed=7)
+                           tau0=5.0, sweep_interval=100)
         eng = StreamEngine(cfg, dim=2)
         eng.initialize(stream)
         assert eng.alpha_learned == pytest.approx(0.01)
@@ -271,6 +291,17 @@ class TestLifecycle:
         assert c["recycled_cells"] == 1
         assert c["sweeps"] == 5
         assert c["events"] == 4
+
+    def test_founded_cell_joins_the_reservoir(self):
+        eng = StreamEngine(TOY_CFG, dim=1)
+        eng.initialize(TOY_INIT)
+        before = eng.counters()["new_cells"]
+        eng.process_point(StreamPoint((50.0,), 0.5))
+        res = eng.last_assign
+        assert res.created
+        assert res.cell_id in eng.reservoir
+        assert eng.reservoir.last_touch[res.cell_id] == 0.5
+        assert eng.counters()["new_cells"] == before + 1
 
     def test_recycle_off_keeps_the_corpse(self):
         cfg = EngineConfig(r=1.0, a=0.8, lam=1.0, v=4.0, beta=0.12, tau0=12.0,
@@ -352,7 +383,7 @@ class TestFilterModes:
         for mode in ("off", "density", "both"):
             cfg = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0,
                                beta=0.0021, tau0=5.0, alpha=0.05,
-                               sweep_interval=100, filters=mode, seed=5)
+                               sweep_interval=100, filters=mode)
             engines[mode] = run_mix(3000, config=cfg)
         base = engines["off"]
         for mode in ("density", "both"):

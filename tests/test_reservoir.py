@@ -19,12 +19,20 @@ def rig(r=0.3, dim=2):
     sp = CellSpace(PARAMS, r=r, dim=dim)
     tree = DPTree(sp)
     res = OutlierReservoir(sp, tree)
-    sp.on_new_cell.append(lambda cell: res.put(cell.id, cell.t_last))
     return sp, tree, res
 
 
-def found(sp, coords, t):
-    out = sp.assign_point(StreamPoint.of(coords, t))
+def assign(res, coords, t):
+    """Assign one point; a founded cell joins the reservoir, as in the
+    engine."""
+    out = res.space.assign_point(StreamPoint.of(coords, t))
+    if out.created:
+        res.put(out.cell_id, out.t)
+    return out
+
+
+def found(res, coords, t):
+    out = assign(res, coords, t)
     assert out.created
     return out.cell_id
 
@@ -32,20 +40,20 @@ def found(sp, coords, t):
 class TestPut:
     def test_new_cell_registered_at_creation_time(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 2.5)
+        cid = found(res, (0.0, 0.0), 2.5)
         assert cid in res
         assert res.last_touch[cid] == 2.5
 
     def test_idempotent(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 2.5)
+        cid = found(res, (0.0, 0.0), 2.5)
         res.put(cid, 9.0)
         assert len(res) == 1
         assert res.last_touch[cid] == 2.5
 
     def test_active_cell_rejected(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         cell = sp.cell(cid)
         cell.rho_last = THRESHOLD
         res.try_activate(cid, 0.0)
@@ -56,7 +64,7 @@ class TestPut:
 class TestTryActivate:
     def test_threshold_is_inclusive(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         cell = sp.cell(cid)
         cell.rho_last, cell.t_last = 1050.0, 0.0
         assert THRESHOLD == pytest.approx(1050.0, rel=1e-6)
@@ -67,7 +75,7 @@ class TestTryActivate:
 
     def test_fresh_cell_stays_inactive_and_refreshes_clock(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         assert not res.try_activate(cid, 3.0)
         assert res.last_touch[cid] == 3.0
         assert not sp.cell(cid).active
@@ -85,7 +93,7 @@ class TestTryActivate:
         first_active_point = None
         for n in range(1, 1200):
             t = (n - 1) / 1000.0
-            out = sp.assign_point(StreamPoint.of((0.0, 0.0), t))
+            out = assign(res, (0.0, 0.0), t)
             if not sp.cell(out.cell_id).active:
                 if res.try_activate(out.cell_id, t):
                     first_active_point = n
@@ -101,8 +109,8 @@ class TestTryActivate:
 class TestDeactivateSweep:
     def _active_pair(self, rho_a=2000.0, rho_b=1500.0, t=0.0):
         sp, tree, res = rig()
-        a = found(sp, (0.0, 0.0), t)
-        b = found(sp, (1.0, 0.0), t)
+        a = found(res, (0.0, 0.0), t)
+        b = found(res, (1.0, 0.0), t)
         for cid, rho in ((a, rho_a), (b, rho_b)):
             cell = sp.cell(cid)
             cell.rho_last, cell.t_last = rho, t
@@ -139,7 +147,7 @@ class TestDeactivateSweep:
 class TestRecycle:
     def test_untouched_beyond_horizon_deleted(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         assert deletion_horizon(PARAMS).seconds == pytest.approx(3.4748, abs=1e-4)
         assert res.recycle(3.48) == [cid]
         assert cid not in res
@@ -147,14 +155,14 @@ class TestRecycle:
 
     def test_recently_touched_retained(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         res.try_activate(cid, 2.5)  # stays inactive, refreshes clock
         assert res.recycle(3.5) == []
         assert cid in res
 
     def test_boundary_is_exclusive(self):
         sp, tree, res = rig()
-        cid = found(sp, (0.0, 0.0), 0.0)
+        cid = found(res, (0.0, 0.0), 0.0)
         horizon = deletion_horizon(PARAMS).seconds
         assert res.recycle(horizon) == []
         assert res.recycle(math.nextafter(horizon, math.inf)) == [cid]
@@ -185,7 +193,7 @@ class TestBounds:
         peak = 0
         for n in range(4000):
             t = n / 1000.0
-            sp.assign_point(StreamPoint.of(rng.uniform(0.0, 10.0, size=2), t))
+            assign(res, rng.uniform(0.0, 10.0, size=2), t)
             if n % 200 == 199:
                 res.recycle(t)
             peak = max(peak, len(res))
@@ -205,7 +213,7 @@ class TestStateMachine:
         for step in range(800):
             t += 0.002
             xy = rng.normal(0.0, 1.0, size=2) if step % 3 else rng.uniform(-4, 4, 2)
-            out = sp.assign_point(StreamPoint.of(xy, t))
+            out = assign(res, xy, t)
             all_founded.add(out.cell_id) if out.created else None
             if not sp.cell(out.cell_id).active:
                 res.try_activate(out.cell_id, t)
