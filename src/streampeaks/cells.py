@@ -78,16 +78,12 @@ class AssignResult:
 
     ``created`` False means the point was absorbed by cell ``cell_id``
     (then ``distance`` <= r); True means the point founded that cell.
-    ``rho_before``/``rho_after`` are the target cell's densities at the
-    effective time ``t`` just before and just after the point landed.
     """
 
     cell_id: int
     distance: float
     created: bool
     t: float
-    rho_before: float
-    rho_after: float
 
 
 class CellSpace:
@@ -200,15 +196,13 @@ class CellSpace:
         if found is not None and found[1] <= self.r:
             cid, dist = found
             cell = self.cells[cid]
-            rho_before = decay_density(self.params, cell.rho_last, cell.t_last, t)
             cell.rho_last = absorb(self.params, cell.rho_last, cell.t_last, t)
             cell.t_last = t
-            return AssignResult(cid, dist, created=False, t=t,
-                                rho_before=rho_before, rho_after=cell.rho_last)
+            return AssignResult(cid, dist, created=False, t=t)
         cell = ClusterCell(id=ordinal, seed=coords, rho_last=1.0, t_last=t)
         self._add_row(cell)
         return AssignResult(cell.id, found[1] if found is not None else math.inf,
-                            created=True, t=t, rho_before=0.0, rho_after=1.0)
+                            created=True, t=t)
 
     def _add_row(self, cell: ClusterCell) -> None:
         row = len(self.cells)

@@ -1,7 +1,8 @@
 """Command-line surface: stream generation, initialization, runs, eval.
 
-Exit codes: 0 success, 2 usage and configuration errors, 3 malformed
-input rows, 4 evaluation on a label-free stream.
+Exit codes: 0 success, 2 usage and configuration errors and files that
+cannot be read or written, 3 malformed input rows, 4 evaluation on a
+label-free stream.
 """
 
 from __future__ import annotations
@@ -84,9 +85,16 @@ def _resume(state_path: str, points: Sequence[StreamPoint]
     consumed prefix; runs are deterministic, so the result is exact."""
     try:
         state = json.loads(Path(state_path).read_text())
+        if not isinstance(state, dict):
+            raise ConfigError("expected a JSON object")
         config = EngineConfig.from_mapping(state["config"])
-        alpha, consumed, dim = (float(state["alpha"]), int(state["consumed"]),
-                                int(state["dim"]))
+        alpha, consumed, dim = state["alpha"], state["consumed"], state["dim"]
+        if not (type(alpha) in (int, float) and type(consumed) is int
+                and type(dim) is int):
+            raise ConfigError("alpha must be a number, consumed and dim integers")
+        if consumed < 1:
+            raise ConfigError(f"consumed must be at least 1, got {consumed}")
+        config = replace(config, alpha=float(alpha))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"unusable state file {state_path}: {exc}") from None
     if len(points) < consumed:
@@ -95,7 +103,7 @@ def _resume(state_path: str, points: Sequence[StreamPoint]
     if points and len(points[0].coords) != dim:
         raise ConfigError(f"input has {len(points[0].coords)} coordinates, "
                           f"state expects {dim}")
-    engine = StreamEngine(replace(config, alpha=alpha), dim=dim)
+    engine = StreamEngine(config, dim=dim)
     engine.initialize(points[:consumed])
     return engine, points[consumed:]
 
@@ -216,6 +224,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StreamFormatError as exc:
         print(f"streampeaks {args.command}: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except StreamClusteringError as exc:
+    except (StreamClusteringError, OSError) as exc:
         print(f"streampeaks {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -115,7 +115,6 @@ class DPTree:
         self.space = space
         self.filters = filters
         self.parent: dict[int, Optional[int]] = {}
-        self.children: dict[int, set[int]] = {}
         self.delta: dict[int, float] = {}
         self.key: dict[int, float] = {}
         self._order: list[tuple[float, int]] = []
@@ -168,15 +167,6 @@ class DPTree:
         """True when active cell a outranks b (id breaks density ties)."""
         return self._rank(a) < self._rank(b)
 
-    def _set_link(self, c: int, dep: Optional[int], delta: float) -> None:
-        old = self.parent[c]
-        if old is not None:
-            self.children[old].discard(c)
-        self.parent[c] = dep
-        self.delta[c] = delta
-        if dep is not None:
-            self.children[dep].add(c)
-
     def compute_dependency(self, c: int) -> tuple[Optional[int], float]:
         """Nearest strictly-denser active cell and its seed distance.
 
@@ -216,11 +206,7 @@ class DPTree:
         self.key[c] = self._fresh_key(c)
         rank_c = self._rank(c)
         insort(self._order, rank_c)
-        self.children[c] = set()
-        self.parent[c] = None
-        self.delta[c] = math.inf
-        dep, delta = self.compute_dependency(c)
-        self._set_link(c, dep, delta)
+        self.parent[c], self.delta[c] = self.compute_dependency(c)
 
         pos = bisect_left(self._order, rank_c)
         records = self._relink_to(c, [e for _, e in self._order[pos + 1:]],
@@ -251,7 +237,7 @@ class DPTree:
             pe = self.parent[e]
             if d < de or (d == de and pe is not None and c < pe):
                 records.append(Relink(e, pe, c, de, d))
-                self._set_link(e, c, d)
+                self.parent[e], self.delta[e] = c, d
         return records
 
     def on_density_increase(self, c: int,
@@ -284,38 +270,37 @@ class DPTree:
         # c's own denser set shrank by exactly the band; its stored link
         # can only be stale if the old dependency is in that band.
         old_dep = self.parent[c]
-        if self.filters == "off" or (old_dep is not None and old_dep in set(band)):
+        if self.filters == "off" or old_dep in band:
             dep, delta = self.compute_dependency(c)
             if (dep, delta) != (old_dep, self.delta[c]):
                 records.append(Relink(c, old_dep, dep, self.delta[c], delta))
-                self._set_link(c, dep, delta)
+                self.parent[c], self.delta[c] = dep, delta
         records.sort(key=lambda rec: rec.cell)
         return records
 
     def remove_subtree(self, c: int) -> list[int]:
-        """Detach c and every descendant; remaining links are untouched.
+        """Detach c and every descendant and return their ids, sorted;
+        remaining links are untouched.
 
         Sound because any cell depending on a removed cell is that
-        cell's child, hence itself inside the removed subtree.
+        cell's child, hence itself inside the removed subtree.  A cell
+        ranks below its dependency, so walking the ranks after c meets
+        each parent before the cells that depend on it.
         """
         if c not in self.parent:
             raise CellStateError(f"cell {c} is not in the tree")
-        collected: list[int] = []
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            collected.append(x)
-            stack.extend(sorted(self.children[x], reverse=True))
-        p = self.parent[c]
-        if p is not None:
-            self.children[p].discard(c)
-        for x in collected:
-            del self._order[bisect_left(self._order, self._rank(x))]
-            del self.parent[x]
-            del self.children[x]
-            del self.delta[x]
-            del self.key[x]
-        return sorted(collected)
+        pos = bisect_left(self._order, self._rank(c))
+        removed = {c}
+        kept = []
+        for rank in self._order[pos + 1:]:
+            if self.parent[rank[1]] in removed:
+                removed.add(rank[1])
+            else:
+                kept.append(rank)
+        self._order[pos:] = kept
+        for x in removed:
+            del self.parent[x], self.delta[x], self.key[x]
+        return sorted(removed)
 
     def extract_clusters(self, tau: float, t: float,
                          outliers: tuple[int, ...] = ()) -> ClusterSnapshot:

@@ -102,11 +102,19 @@ class EngineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "EngineConfig":
+        """Config from key -> string pairs, as ``to_mapping`` writes
+        them; anything else raises ``ConfigError``."""
+        if not isinstance(mapping, dict):
+            raise ConfigError(
+                f"config must map keys to strings, got {type(mapping).__name__}")
         if "r" not in mapping:
             raise ConfigError("missing required key 'r'")
         kwargs: dict = {}
         try:
             for key, value in mapping.items():
+                if not isinstance(value, str):
+                    raise ConfigError(f"value of {key!r} must be a string, "
+                                      f"got {value!r}")
                 if key in ("a", "v", "beta", "r", "tau0", "alpha"):
                     kwargs[key] = float(value)
                 elif key == "lambda":
@@ -145,8 +153,8 @@ class StreamEngine:
 
     Lifecycle: construct, ``initialize`` on a buffered prefix, then
     ``process_point`` for the rest of the stream.  Snapshot and counter
-    reads return value copies and may be taken at any moment between
-    calls; nothing here is safe to call concurrently with the owner.
+    reads change no state and may be taken at any moment between calls;
+    nothing here is safe to call concurrently with the owner.
     """
 
     def __init__(self, config: EngineConfig, dim: int):
@@ -161,16 +169,23 @@ class StreamEngine:
         self.last_snapshot: Optional[ClusterSnapshot] = None
         self.last_assign: Optional[AssignResult] = None
         self.prefix_assignments: list[AssignResult] = []
-        self.now = -math.inf
-        self.sweep_count = 0
         self._since_sweep = 0
-        self._counts = {"points": 0, "new_cells": 0, "relinks": 0,
-                        "activations": 0, "deactivations": 0,
-                        "recycled_cells": 0, "sweeps": 0, "events": 0}
+        self._counts = {"new_cells": 0, "relinks": 0, "activations": 0,
+                        "deactivations": 0, "recycled_cells": 0, "sweeps": 0}
 
     @property
     def initialized(self) -> bool:
         return self.tree is not None
+
+    @property
+    def now(self) -> float:
+        """The engine's clock: the timestamp of the last point taken."""
+        return self.space.last_t
+
+    @property
+    def sweep_count(self) -> int:
+        """Sweeps run so far."""
+        return self._counts["sweeps"]
 
     def initialize(self, points: Sequence[StreamPoint]) -> list[DecisionGraphPoint]:
         """Build cells from a buffered prefix, link the dependency
@@ -209,7 +224,6 @@ class StreamEngine:
             self.alpha_learned = alpha
         self.space, self.tree = space, tree
         self.prefix_assignments = assigned
-        self._counts["points"] += len(assigned)
         self._counts["new_cells"] += len(space)
         self.reservoir = OutlierReservoir(space, tree)
         for cid in space.inactive_ids():
@@ -219,7 +233,6 @@ class StreamEngine:
         graph = decision_graph(tree, t)
         self.last_snapshot = tree.extract_clusters(
             self.config.tau0, t, outliers=tuple(self.reservoir.ids()))
-        self.now = t
         return graph
 
     def process_point(self, p: StreamPoint) -> list[EvolutionEvent]:
@@ -229,8 +242,6 @@ class StreamEngine:
             raise EngineStateError("initialize the engine before processing")
         res = self.space.assign_point(p)
         self.last_assign = res
-        self._counts["points"] += 1
-        self.now = res.t
         if res.created:
             self._counts["new_cells"] += 1
             self.reservoir.put(res.cell_id, res.t)
@@ -247,7 +258,6 @@ class StreamEngine:
         return []
 
     def _sweep(self, t: float) -> list[EvolutionEvent]:
-        self.sweep_count += 1
         self._counts["sweeps"] += 1
         self._since_sweep = 0
         moved = self.reservoir.deactivate_sweep(t)
@@ -263,23 +273,13 @@ class StreamEngine:
         events = diff_snapshots(self.last_snapshot, snap)
         for e in events:
             self.log.append(e)
-        self._counts["events"] += len(events)
         self.last_snapshot = snap
         return events
 
-    def snapshot(self) -> ClusterSnapshot:
-        """Current clustering; forces a sweep at the engine's clock."""
-        if not self.initialized:
-            raise EngineStateError("initialize the engine before snapshots")
-        self._sweep(self.now)
-        return self.last_snapshot
-
-    def snapshot_rows(self, snap: Optional[ClusterSnapshot] = None
-                      ) -> list[SnapshotRow]:
+    def snapshot_rows(self) -> list[SnapshotRow]:
         """Flat per-cell rows of the engine's latest clustering, in cell
         id order; outliers carry cluster id -1 and an infinite delta."""
-        if snap is None:
-            snap = self.last_snapshot
+        snap = self.last_snapshot
         membership = snap.membership()
         rows: list[SnapshotRow] = []
         for cid in sorted(set(membership) | set(snap.outlier_cells)):
@@ -290,7 +290,8 @@ class StreamEngine:
         return rows
 
     def counters(self) -> dict[str, int]:
-        out = dict(self._counts)
+        out = {"points": self.space.points_seen, **self._counts,
+               "events": len(self.log)}
         out["seed_distance_evals"] = self.tree.seed_distance_evals if self.tree else 0
         out["filter_skips"] = self.tree.filter_skips if self.tree else 0
         return out

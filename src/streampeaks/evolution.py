@@ -90,10 +90,9 @@ class EventLog:
         return [e for e in self._events if lo(e.time) and e.time <= end]
 
 
-def _lineage_edges(prev: ClusterSnapshot, next_: ClusterSnapshot
+def _lineage_edges(prev: ClusterSnapshot, next_: ClusterSnapshot,
+                   prev_m: dict[int, int], next_m: dict[int, int]
                    ) -> tuple[set[tuple[int, int]], dict[int, int]]:
-    prev_m = prev.membership()
-    next_m = next_.membership()
     edges: set[tuple[int, int]] = set()
     survivors = set()
     for p in prev.cluster_ids():
@@ -130,7 +129,9 @@ def diff_snapshots(prev: ClusterSnapshot, next_: ClusterSnapshot
         raise OutOfOrderTimestamp(
             f"snapshots out of order: {prev.time} > {next_.time}")
     t = next_.time
-    edges, handovers = _lineage_edges(prev, next_)
+    prev_m = prev.membership()
+    next_m = next_.membership()
+    edges, handovers = _lineage_edges(prev, next_, prev_m, next_m)
     preds: dict[int, list[int]] = {n: [] for n in next_.cluster_ids()}
     succs: dict[int, list[int]] = {p: [] for p in prev.cluster_ids()}
     for p, n in sorted(edges):
@@ -171,8 +172,6 @@ def diff_snapshots(prev: ClusterSnapshot, next_: ClusterSnapshot
                                       cause=CAUSE_ROOT_CHANGE))
         covered.add((p, n))
 
-    prev_m = prev.membership()
-    next_m = next_.membership()
     moved_pairs = sorted({(prev_m[c], next_m[c]) for c in prev_m
                           if c in next_m and prev_m[c] != next_m[c]})
     for p, n in moved_pairs:

@@ -127,7 +127,8 @@ def list_snapshots(out_dir: PathLike) -> list[Path]:
 
 
 def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
-    """Inverse of write_snapshot; time comes from the file name."""
+    """Inverse of write_snapshot; time comes from the file name.  Row
+    errors name the file and the row's 1-based line."""
     path = Path(path)
     m = _SNAPSHOT_NAME.search(path.name)
     if m is None:
@@ -139,9 +140,16 @@ def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
         header = next(reader, None)
         if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
             raise StreamFormatError(f"{path.name}: bad snapshot header")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]),
-                         tuple(float(v) for v in row[4:])))
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"expected {len(header)} fields, got {len(row)}")
+                rows.append((int(row[0]), int(row[1]), float(row[2]),
+                             float(row[3]), tuple(float(v) for v in row[4:])))
+            except ValueError as exc:
+                raise StreamFormatError(
+                    f"{path.name}: line {lineno}: {exc}") from None
     return time, rows
 
 

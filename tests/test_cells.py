@@ -86,7 +86,7 @@ class TestAssignPoint:
         for t in (0.0, 1.0, 2.0):
             res = sp.assign_point(StreamPoint.of((0.0, 0.0), t))
         assert len(sp) == 1
-        assert res.rho_after == pytest.approx(2.994004, abs=1e-9)
+        assert sp.cell(res.cell_id).rho_last == pytest.approx(2.994004, abs=1e-9)
 
     def test_cell_id_is_founding_point_ordinal(self):
         sp = space(r=0.1)

@@ -312,6 +312,52 @@ class TestExitCodes:
         assert code == 2
         assert "unknown key 'tua0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: [s],
+        lambda s: {**s, "config": list(s["config"])},
+        lambda s: {**s, "config": {**s["config"], "recycle": True}},
+        lambda s: {**s, "consumed": -5},
+        lambda s: {**s, "alpha": str(s["alpha"])},
+        lambda s: {**s, "dim": float(s["dim"])},
+    ], ids=["list-at-top", "config-as-list", "recycle-as-bool",
+            "consumed-negative", "alpha-as-string", "dim-as-float"])
+    def test_malformed_state_is_a_config_error(self, toy_run, tmp_path,
+                                               capsys, corrupt):
+        state = json.loads(toy_run.state.read_text())
+        bad = tmp_path / "bad_state.json"
+        bad.write_text(json.dumps(corrupt(state)))
+        code = main(["run", str(toy_run.stream), "--state", str(bad)])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        lambda ns, missing: ["init", str(ns.init), "--config", missing,
+                             "--state", str(ns.state)],
+        lambda ns, missing: ["run", missing, "--state", str(ns.state)],
+        lambda ns, missing: ["run", str(ns.stream), "--state", missing],
+    ], ids=["init-config", "run-stream", "run-state"])
+    def test_missing_file_is_a_usage_error(self, toy_run, tmp_path, argv):
+        missing = str(tmp_path / "missing")
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", *argv(toy_run, missing)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert missing in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_on_corrupt_snapshot_is_a_format_error(self, toy_run,
+                                                        tmp_path, capsys):
+        first = list_snapshots(toy_run.snapshots)[0]
+        lines = first.read_text().splitlines(keepends=True)
+        first.write_text("".join([lines[0], "1,2,x,3,4\n"] + lines[2:]))
+        code = main(["eval", str(toy_run.stream),
+                     "--state", str(toy_run.state),
+                     "--snapshots", str(toy_run.snapshots),
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert first.name in err and "line 2" in err
+
     def test_malformed_row_reports_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x1,label\n"

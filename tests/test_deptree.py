@@ -158,16 +158,16 @@ class TestOnDensityIncrease:
         sp, tree, t = _grid_space_tree(rng, filters="density")
         for _ in range(200):
             t += float(rng.random()) * 0.3
-            cid, res = _absorb_random(sp, tree, rng, t, apply=False)
-            others = {e: sp.cell_density_at(e, res.t)
-                      for e in tree.nodes() if e != cid}
+            densities = {e: sp.cell_density_at(e, t) for e in tree.nodes()}
+            cid, _ = _absorb_random(sp, tree, rng, t, apply=False)
+            absorbed = sp.cell_density_at(cid, t)
             records = tree.on_density_increase(cid, PointDistances(sp))
             for rec in records:
                 if rec.cell == cid:
                     continue
                 assert not density_filter_skips(
-                    others[rec.cell], others[rec.cell],
-                    res.rho_before, res.rho_after)
+                    densities[rec.cell], densities[rec.cell],
+                    densities[cid], absorbed)
 
 
 class TestInsertActive:

@@ -113,6 +113,13 @@ filters = both
                            recycle=False, filters="off")
         assert EngineConfig.from_mapping(cfg.to_mapping()) == cfg
 
+    @pytest.mark.parametrize("mapping", [
+        ["r", "1.0"], {"r": 1.0}, {"r": "1.0", "recycle": True}],
+        ids=["list", "float-value", "bool-value"])
+    def test_mapping_must_hold_strings(self, mapping):
+        with pytest.raises(ConfigError):
+            EngineConfig.from_mapping(mapping)
+
     def test_every_config_key_is_accepted(self, tmp_path):
         text = "".join(f"{k} = {v}\n" for k, v in [
             ("a", "0.9"), ("lambda", "2"), ("v", "10"), ("beta", "0.3"),
@@ -326,20 +333,10 @@ class TestSweepCadence:
             eng.process_point(p)
             assert eng.sweep_count == i // MIX_CFG.sweep_interval
 
-    def test_snapshot_forces_a_sweep(self):
-        eng = run_mix(950)
-        before = eng.sweep_count
-        snap = eng.snapshot()
-        assert eng.sweep_count == before + 1
-        assert snap.time == eng.now
-        assert snap is eng.last_snapshot
-
     def test_state_errors_before_init(self):
         eng = StreamEngine(TOY_CFG, dim=1)
         with pytest.raises(EngineStateError):
             eng.process_point(StreamPoint((0.0,), 0.0))
-        with pytest.raises(EngineStateError):
-            eng.snapshot()
 
 
 class TestNonFiniteInput:

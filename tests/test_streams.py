@@ -1,6 +1,7 @@
 """File-format round trips and parse errors for stream I/O."""
 
 import math
+import re
 
 import pytest
 
@@ -133,6 +134,16 @@ class TestSnapshots:
         path = tmp_path / "other.csv"
         path.write_text("cell_id,cluster_id,rho,delta,x1\n")
         with pytest.raises(StreamFormatError, match="snapshot file name"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("row", ["1,2,x,3,4,5", "1,2,3.0"],
+                             ids=["unparsable", "short"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = write_snapshot(tmp_path, 0, 1.5, self.ROWS)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + [row + "\n"] + lines[3:]))
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"{path.name}: line 4")):
             read_snapshot(path)
 
     def test_bad_header_rejected(self, tmp_path):
