@@ -85,8 +85,14 @@ class EngineConfig:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "EngineConfig":
         """Parse the flat key=value format; `#` starts a comment."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"line {lineno}: not UTF-8 text") from None
         seen: dict[str, str] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

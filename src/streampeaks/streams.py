@@ -1,8 +1,9 @@
 """File formats: point streams, decision graphs, snapshots, events.
 
-Everything is plain CSV or JSON-lines with `.` decimals and `\n` line
-ends, so two runs that compute the same values produce byte-identical
-files.  Floats are written with repr, the shortest round-tripping form.
+Everything is plain UTF-8 CSV or JSON-lines with `.` decimals and `\n`
+line ends, so two runs that compute the same values produce
+byte-identical files.  Floats are written with repr, the shortest
+round-tripping form.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import csv
 import json
 import math
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from streampeaks.cells import StreamPoint
 from streampeaks.errors import StreamFormatError
@@ -29,6 +31,24 @@ def _fmt(x: float) -> str:
     return repr(float(x)) if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
+@contextmanager
+def _open_utf8(path: Path, **open_kw) -> Iterator[TextIO]:
+    """The file opened as UTF-8 text.  A byte that does not decode raises
+    ``StreamFormatError`` naming the file and the line that holds it."""
+    try:
+        with path.open(encoding="utf-8", **open_kw) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise StreamFormatError(
+                f"{path.name}: line {lineno}: not UTF-8 text") from None
+        raise
+
+
 def stream_header(dim: int, labeled: bool) -> list[str]:
     cols = ["t"] + [f"x{i}" for i in range(1, dim + 1)]
     if labeled:
@@ -42,7 +62,7 @@ def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
     Errors carry the 1-based line number of the offending row.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise StreamFormatError("line 1: empty file, expected a header")
@@ -79,7 +99,7 @@ def write_stream(path: PathLike, points: Iterable[StreamPoint],
                  labeled: bool) -> None:
     points = list(points)
     dim = len(points[0].coords) if points else 1
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(stream_header(dim, labeled))
         for p in points:
@@ -91,7 +111,7 @@ def write_stream(path: PathLike, points: Iterable[StreamPoint],
 
 def write_decision_graph(path: PathLike,
                          graph: Iterable[DecisionGraphPoint]) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["cell_id", "rho", "delta"])
         for g in graph:
@@ -112,7 +132,7 @@ def write_snapshot(out_dir: PathLike, index: int, time: float,
     out_dir.mkdir(parents=True, exist_ok=True)
     dim = len(rows[0][4]) if rows else 1
     path = out_dir / snapshot_filename(index, time)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["cell_id", "cluster_id", "rho", "delta"]
                    + [f"x{i}" for i in range(1, dim + 1)])
@@ -135,7 +155,7 @@ def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
         raise StreamFormatError(f"not a snapshot file name: {path.name}")
     time = float(m.group(2))
     rows: list[SnapshotRow] = []
-    with path.open(newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
@@ -158,7 +178,7 @@ _EVENT_FIELDS = ("time", "kind", "old_ids", "new_ids", "adjust_kind", "cause")
 
 def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
     """JSON-lines event log, one event per line, fixed field order."""
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for e in events:
             record = {
                 "time": e.time,
@@ -173,7 +193,7 @@ def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
 
 def read_events(path: PathLike) -> list[EvolutionEvent]:
     events: list[EvolutionEvent] = []
-    with Path(path).open() as fh:
+    with _open_utf8(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -189,7 +209,7 @@ def read_events(path: PathLike) -> list[EvolutionEvent]:
 
 
 def write_counters(path: PathLike, counters: dict[str, int]) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["counter", "value"])
         for name in sorted(counters):
@@ -197,14 +217,14 @@ def write_counters(path: PathLike, counters: dict[str, int]) -> None:
 
 
 def read_counters(path: PathLike) -> dict[str, int]:
-    with Path(path).open(newline="") as fh:
+    with _open_utf8(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         return {name: int(value) for name, value in reader}
 
 
 def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["time", "metric", "value"])
         for time, metric, value in rows:
@@ -212,7 +232,7 @@ def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None
 
 
 def read_eval(path: PathLike) -> list[tuple[float, str, float]]:
-    with Path(path).open(newline="") as fh:
+    with _open_utf8(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         return [(float(t), m, float(v)) for t, m, v in reader]

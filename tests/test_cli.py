@@ -345,6 +345,40 @@ class TestExitCodes:
         assert missing in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("target, argv, code", [
+        ("config", lambda ns, bad: ["init", str(ns.init), "--config", bad,
+                                    "--state", str(ns.state)], 2),
+        ("state", lambda ns, bad: ["run", str(ns.stream), "--state", bad], 2),
+        ("init", lambda ns, bad: ["init", bad, "--config", str(ns.config),
+                                  "--state", str(ns.state)], 3),
+        ("stream", lambda ns, bad: ["run", bad, "--state", str(ns.state)], 3),
+    ], ids=["init-config", "run-state", "init-stream", "run-stream"])
+    def test_non_utf8_byte_is_reported_not_raised(self, toy_run, tmp_path,
+                                                  target, argv, code):
+        """Byte 0xff on line 3 of an otherwise valid file."""
+        lines = getattr(toy_run, target).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        bad = tmp_path / f"bad_{target}"
+        bad.write_bytes(b"".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", *argv(toy_run, str(bad))],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 3:
+            assert f"{bad.name}: line 3: not UTF-8 text" in proc.stderr
+
+    def test_eval_on_non_utf8_snapshot_is_a_format_error(self, toy_run,
+                                                         tmp_path, capsys):
+        first = list_snapshots(toy_run.snapshots)[0]
+        first.write_bytes(first.read_bytes().replace(b"\n", b"\n\xff", 1))
+        code = main(["eval", str(toy_run.stream),
+                     "--state", str(toy_run.state),
+                     "--snapshots", str(toy_run.snapshots),
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == 3
+        assert f"{first.name}: line 2: not UTF-8 text" in capsys.readouterr().err
+
     def test_eval_on_corrupt_snapshot_is_a_format_error(self, toy_run,
                                                         tmp_path, capsys):
         first = list_snapshots(toy_run.snapshots)[0]

@@ -199,3 +199,21 @@ class TestCountersAndEval:
         rows = [(0.5, "weighted_purity", 0.875), (1.0, "weighted_purity", 1.0)]
         write_eval(path, rows)
         assert read_eval(path) == rows
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("reader, text", [
+        (read_stream, "t,x1\n0.0,1.0\n1.0,2.0\n"),
+        (read_snapshot, "cell_id,cluster_id,rho,delta,x1\n0,0,1.0,inf,0.0\n"
+                        "1,0,0.5,1.0,1.0\n"),
+        (read_events, '{"time": 1.0}\n{"time": 2.0}\n{"time": 3.0}\n'),
+        (read_counters, "counter,value\na,1\nb,2\n"),
+        (read_eval, "time,metric,value\n0.5,m,1.0\n1.0,m,1.0\n"),
+    ], ids=["stream", "snapshot", "events", "counters", "eval"])
+    def test_reader_names_file_and_line(self, tmp_path, reader, text):
+        path = tmp_path / snapshot_filename(0, 1.5)
+        lines = text.encode().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + [b"\xff" + lines[2]]))
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"{path.name}: line 3: not UTF-8")):
+            reader(path)

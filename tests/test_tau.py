@@ -10,6 +10,7 @@ from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.decay import DecayParams
 from streampeaks.deptree import DPTree
 from streampeaks.tau import (
+    ALPHA_GRID,
     NoConsistentAlpha,
     TauState,
     UndefinedObjective,
@@ -21,6 +22,8 @@ from streampeaks.tau import (
 )
 
 DELTAS = [0.5, 0.6, 4.0]
+EXACT = settings(max_examples=150, deadline=None, derandomize=True,
+                 database=None)
 
 
 def direct_objective(alpha, tau, deltas):
@@ -88,11 +91,13 @@ class TestSelectTau:
     )
     @settings(max_examples=300)
     def test_scale_invariance(self, deltas, alpha, k):
-        """Scaling every distance by k scales the chosen tau by k."""
-        if len(set(deltas)) < 2:
+        """Scaling every distance by k scales the chosen tau by k, as
+        long as rounding keeps the distinct distances distinct."""
+        scaled_deltas = [k * d for d in deltas]
+        if len(set(deltas)) < 2 or len(set(scaled_deltas)) < len(set(deltas)):
             return
         tau = select_tau(alpha, deltas)
-        scaled = select_tau(alpha, [k * d for d in deltas])
+        scaled = select_tau(alpha, scaled_deltas)
         assert scaled == pytest.approx(k * tau, rel=1e-9)
 
     @given(
@@ -148,6 +153,145 @@ class TestLearnAlpha:
         tau = select_tau(alpha, deltas)
         assert sorted(d for d in deltas if d <= tau) == \
             sorted(d for d in deltas if d <= tau0)
+
+
+def scan_select_tau(alpha, deltas, *, previous=None):
+    """The exhaustive scan ``select_tau`` must reproduce: ``objective``
+    at every candidate, strict ``<``, ties to the smaller tau."""
+    ds = [d for d in deltas if math.isfinite(d)]
+    best_tau, best_F = None, math.inf
+    for tau in candidate_taus(ds):
+        F = objective(alpha, tau, ds)
+        if F < best_F:
+            best_tau, best_F = tau, F
+    if best_tau is None:
+        if previous is None:
+            raise UndefinedObjective("no candidate tau")
+        return previous
+    return best_tau
+
+
+def scan_learn_alpha(deltas, tau0):
+    """The exhaustive ``learn_alpha``: ``objective`` for tau0 against
+    every rival partition, at every grid alpha."""
+    ds = [d for d in deltas if math.isfinite(d)]
+    part0 = sum(1 for d in ds if d <= tau0)
+    if part0 == 0 or part0 == len(ds):
+        raise UndefinedObjective("tau0 leaves one side empty")
+    rivals = [tau for tau in candidate_taus(ds)
+              if sum(1 for d in ds if d <= tau) != part0]
+    if not rivals:
+        raise NoConsistentAlpha("one partition")
+    feasible = [alpha for alpha in ALPHA_GRID
+                if all(objective(alpha, tau0, ds) < objective(alpha, tau, ds)
+                       for tau in rivals)]
+    if not feasible:
+        raise NoConsistentAlpha("no feasible alpha")
+    return feasible[(len(feasible) - 1) // 2]
+
+
+def outcome(fn, *args, **kw):
+    """The returned value, or the type of the error raised."""
+    try:
+        return fn(*args, **kw)
+    except (UndefinedObjective, NoConsistentAlpha, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def tenths(draw, max_size):
+    """1 to max_size distances on multiples of 0.1, from a few distinct
+    values (exact ties, many duplicates) up to 60, some of zero length,
+    sometimes with the root's infinite sentinel, in arbitrary order."""
+    rng = draw(st.randoms(use_true_random=False))
+    top = draw(st.sampled_from([2, 5, 60]))
+    ds = [rng.randint(1, top) / 10
+          for _ in range(draw(st.integers(1, max_size)))]
+    ds += [0.0] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+    if draw(st.booleans()):
+        ds.append(math.inf)
+    rng.shuffle(ds)
+    return ds
+
+
+class TestScreenIsExact:
+    """The screened ``select_tau`` and ``learn_alpha`` return exactly
+    what the exhaustive scans return, or raise the same error."""
+
+    @given(deltas=tenths(500), alpha=st.sampled_from(ALPHA_GRID),
+           previous=st.sampled_from([None, 1.5]))
+    @EXACT
+    def test_select_tau_equals_the_scan(self, deltas, alpha, previous):
+        assert outcome(select_tau, alpha, deltas, previous=previous) == \
+            outcome(scan_select_tau, alpha, deltas, previous=previous)
+
+    @given(deltas=tenths(40), pick=st.integers(0, 40),
+           offset=st.sampled_from([0.0, 0.05, -0.05]))
+    @EXACT
+    def test_learn_alpha_equals_the_scan(self, deltas, pick, offset):
+        values = sorted({d for d in deltas if math.isfinite(d)})
+        tau0 = values[pick % len(values)] + offset
+        assert outcome(learn_alpha, deltas, tau0) == \
+            outcome(scan_learn_alpha, deltas, tau0)
+
+    @pytest.mark.parametrize("deltas, alpha, tau", [
+        ([6.0, 2.0, 1.0], 0.6, 1.0),
+        ([1.0, 6.0, 3.0, 2.0], 0.5, 2.0),
+    ])
+    def test_exact_tie_goes_to_the_smaller_tau(self, deltas, alpha, tau):
+        tied = [t for t in candidate_taus(deltas)
+                if objective(alpha, t, deltas) == objective(alpha, tau, deltas)]
+        assert len(tied) == 2 and min(tied) == tau
+        assert select_tau(alpha, deltas) == scan_select_tau(alpha, deltas) == tau
+
+    @pytest.mark.parametrize("deltas, alpha, tau", [
+        # objective ties 0.3 and 0.4; summed in sorted order, 0.4 is lower
+        ([0.7, 0.5, 0.4, 0.3, 0.1], 0.75, 0.3),
+        # objective puts 0.1 an ulp below 0.5; the sorted sums put 0.5 lower
+        ([0.1, 0.1, 0.2, 0.5, 0.6], 0.75, 0.1),
+        # objective puts 0.4 an ulp below 0.3; summed in sorted order they tie
+        ([0.8, 0.4, 0.3, 0.1], 0.5, 0.4),
+    ])
+    def test_last_bits_follow_objective_in_input_order(self, deltas, alpha,
+                                                       tau):
+        assert select_tau(alpha, deltas) == scan_select_tau(alpha, deltas) == tau
+
+    @pytest.mark.parametrize("deltas, tau0, alpha", [
+        ([0.1, 0.1, 0.2, 0.5, 0.6], 0.5, 0.37),
+        ([0.6, 0.6, 0.4, 0.3, 0.1], 0.4, 0.37),
+        ([0.2, 0.4, 0.7, 0.7, 0.8, 0.8], 0.2, 0.95),
+    ])
+    def test_feasible_edge_follows_objective(self, deltas, tau0, alpha):
+        """At the edge of the feasible interval tau0 and a rival score
+        within an ulp; the sorted sums alone would move the edge."""
+        assert learn_alpha(deltas, tau0) == scan_learn_alpha(deltas, tau0) \
+            == alpha
+
+    def test_exact_tie_is_no_win_for_tau0(self):
+        deltas = [6.0, 2.0, 1.0]
+        assert objective(0.6, 1.0, deltas) == objective(0.6, 2.0, deltas)
+        assert learn_alpha(deltas, 1.0) == scan_learn_alpha(deltas, 1.0)
+
+    def test_zero_length_links_leave_the_smallest_cut_undefined(self):
+        with pytest.raises(UndefinedObjective):
+            select_tau(0.5, [0.0, 0.0, 1.0, 2.0], previous=1.5)
+        with pytest.raises(ValueError):
+            select_tau(1.5, [0.0, 0.0, 1.0, 2.0])
+        assert select_tau(math.nan, [2.0, 2.0], previous=1.5) == 1.5
+        with pytest.raises(UndefinedObjective):
+            learn_alpha([0.0, 1.0, 2.0], 1.5)
+        with pytest.raises(NoConsistentAlpha):
+            learn_alpha([0.0, 0.0, 1.0], 0.5)
+
+    def test_only_the_near_best_are_rescored(self, monkeypatch):
+        import streampeaks.tau as tau_module
+        calls = []
+        exact = tau_module.objective
+        monkeypatch.setattr(tau_module, "objective",
+                            lambda *a: calls.append(a[1]) or exact(*a))
+        deltas = [0.1 * k for k in range(1, 91)] + [30.0]
+        assert select_tau(0.05, deltas) == scan_select_tau(0.05, deltas)
+        assert 1 <= len(calls) < 5
 
 
 class TestTauState:
