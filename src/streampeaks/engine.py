@@ -27,7 +27,7 @@ from streampeaks.deptree import (
 from streampeaks.errors import ConfigError, EngineStateError
 from streampeaks.evolution import EventLog, EvolutionEvent, diff_snapshots
 from streampeaks.reservoir import OutlierReservoir
-from streampeaks.streams import SnapshotRow
+from streampeaks.streams import SnapshotRow, open_text
 from streampeaks.tau import (
     DecisionGraphPoint,
     TauState,
@@ -85,13 +85,9 @@ class EngineConfig:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "EngineConfig":
         """Parse the flat key=value format; `#` starts a comment."""
-        data = Path(path).read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"line {lineno}: not UTF-8 text") from None
         seen: dict[str, str] = {}
+        with open_text(path, ConfigError) as fh:
+            text = fh.read()
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -1,9 +1,8 @@
 """File formats: point streams, decision graphs, snapshots, events.
 
-Everything is plain UTF-8 CSV or JSON-lines with `.` decimals and `\n`
-line ends, so two runs that compute the same values produce
-byte-identical files.  Floats are written with repr, the shortest
-round-tripping form.
+Everything is plain CSV or JSON-lines with `.` decimals and `\n` line
+ends, so two runs that compute the same values produce byte-identical
+files.  Floats are written with repr, the shortest round-tripping form.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from streampeaks.cells import StreamPoint
-from streampeaks.errors import StreamFormatError
+from streampeaks.errors import StreamClusteringError, StreamFormatError
 from streampeaks.evolution import EvolutionEvent
 from streampeaks.tau import DecisionGraphPoint
 
@@ -32,11 +31,16 @@ def _fmt(x: float) -> str:
 
 
 @contextmanager
-def _open_utf8(path: Path, **open_kw) -> Iterator[TextIO]:
-    """The file opened as UTF-8 text.  A byte that does not decode raises
-    ``StreamFormatError`` naming the file and the line that holds it."""
+def open_text(path: PathLike,
+              error: type[StreamClusteringError] = StreamFormatError,
+              newline: Optional[str] = None) -> Iterator[TextIO]:
+    """The file opened for reading as UTF-8 text.  A byte that does not
+    decode raises ``error`` naming the file and the line that holds it.
+    The file streams in chunks; only that error reads it whole, to find
+    the line."""
+    path = Path(path)
     try:
-        with path.open(encoding="utf-8", **open_kw) as fh:
+        with path.open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         data = path.read_bytes()
@@ -44,8 +48,7 @@ def _open_utf8(path: Path, **open_kw) -> Iterator[TextIO]:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
-            raise StreamFormatError(
-                f"{path.name}: line {lineno}: not UTF-8 text") from None
+            raise error(f"{path.name}: line {lineno}: not UTF-8 text") from None
         raise
 
 
@@ -62,7 +65,7 @@ def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
     Errors carry the 1-based line number of the offending row.
     """
     path = Path(path)
-    with _open_utf8(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise StreamFormatError("line 1: empty file, expected a header")
@@ -99,7 +102,7 @@ def write_stream(path: PathLike, points: Iterable[StreamPoint],
                  labeled: bool) -> None:
     points = list(points)
     dim = len(points[0].coords) if points else 1
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(stream_header(dim, labeled))
         for p in points:
@@ -111,7 +114,7 @@ def write_stream(path: PathLike, points: Iterable[StreamPoint],
 
 def write_decision_graph(path: PathLike,
                          graph: Iterable[DecisionGraphPoint]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["cell_id", "rho", "delta"])
         for g in graph:
@@ -132,7 +135,7 @@ def write_snapshot(out_dir: PathLike, index: int, time: float,
     out_dir.mkdir(parents=True, exist_ok=True)
     dim = len(rows[0][4]) if rows else 1
     path = out_dir / snapshot_filename(index, time)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with path.open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["cell_id", "cluster_id", "rho", "delta"]
                    + [f"x{i}" for i in range(1, dim + 1)])
@@ -155,7 +158,7 @@ def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
         raise StreamFormatError(f"not a snapshot file name: {path.name}")
     time = float(m.group(2))
     rows: list[SnapshotRow] = []
-    with _open_utf8(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
@@ -178,7 +181,7 @@ _EVENT_FIELDS = ("time", "kind", "old_ids", "new_ids", "adjust_kind", "cause")
 
 def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
     """JSON-lines event log, one event per line, fixed field order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with Path(path).open("w") as fh:
         for e in events:
             record = {
                 "time": e.time,
@@ -193,7 +196,7 @@ def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
 
 def read_events(path: PathLike) -> list[EvolutionEvent]:
     events: list[EvolutionEvent] = []
-    with _open_utf8(Path(path)) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -209,7 +212,7 @@ def read_events(path: PathLike) -> list[EvolutionEvent]:
 
 
 def write_counters(path: PathLike, counters: dict[str, int]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["counter", "value"])
         for name in sorted(counters):
@@ -217,14 +220,14 @@ def write_counters(path: PathLike, counters: dict[str, int]) -> None:
 
 
 def read_counters(path: PathLike) -> dict[str, int]:
-    with _open_utf8(Path(path), newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         return {name: int(value) for name, value in reader}
 
 
 def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["time", "metric", "value"])
         for time, metric, value in rows:
@@ -232,7 +235,7 @@ def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None
 
 
 def read_eval(path: PathLike) -> list[tuple[float, str, float]]:
-    with _open_utf8(Path(path), newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         return [(float(t), m, float(v)) for t, m, v in reader]

@@ -109,16 +109,6 @@ def _cuts(ds: Sequence[float]) -> list[tuple[float, int, float, float]]:
             if tau < nxt]
 
 
-def _check_defined(cuts: Sequence[tuple[float, int, float, float]]) -> None:
-    """Distances are non-negative, so only the smallest candidate can
-    keep intra links of zero total length; there the objective is
-    undefined, and an exhaustive scan raises on it."""
-    tau, kept, intra_sum, _ = cuts[0]
-    if intra_sum <= 0.0:
-        raise UndefinedObjective(
-            f"tau={tau} keeps {kept} intra links of zero total length")
-
-
 def _screen(alpha: float, ds: Sequence[float],
             cuts: Sequence[tuple[float, int, float, float]]) -> list[float]:
     """The objective of every cut, by ``objective``'s formula over the
@@ -164,7 +154,12 @@ def select_tau(alpha: float, deltas: Iterable[float], *,
     best_tau, best_F = None, math.inf
     if cuts:
         _check_alpha(alpha)
-        _check_defined(cuts)
+        # Distances are non-negative, so only the smallest candidate can
+        # keep intra links of zero total length; the scan raises there.
+        tau, kept, intra_sum, _ = cuts[0]
+        if intra_sum <= 0.0:
+            raise UndefinedObjective(
+                f"tau={tau} keeps {kept} intra links of zero total length")
         scores = _screen(alpha, ds, cuts)
         cutoff = min(scores) * (1.0 + _slack(len(ds)))
         for tau in [cut[0] for cut, s in zip(cuts, scores) if s <= cutoff]:
@@ -185,38 +180,21 @@ def learn_alpha(deltas: Iterable[float], tau0: float) -> float:
     Feasibility is an interval (the objective is linear in alpha); the
     lower-median grid value is returned as the most drift-tolerant
     choice.
-
-    Each grid alpha screens the rivals as ``select_tau`` does.  tau0
-    scores as the candidate with its partition, to the same bits.  A
-    rival screened beyond the slack of tau0's score, on either side,
-    decides the comparison outright; only the rivals within it are
-    compared through ``objective``.
     """
     ds = _finite(deltas)
-    part0 = sum(1 for d in ds if d <= tau0)
-    if part0 == 0 or part0 == len(ds):
+    intra0, inter0 = _split(ds, tau0)
+    if not intra0 or not inter0:
         raise UndefinedObjective(
             f"initial tau={tau0} does not induce a valid partition")
-    cuts = _cuts(ds)
-    if len(cuts) == 1:
+    part0 = len(intra0)
+    rivals = [tau for tau in candidate_taus(ds)
+              if len(_split(ds, tau)[0]) != part0]
+    if not rivals:
         raise NoConsistentAlpha(
             "only one candidate partition exists; nothing to learn from")
-    _check_defined(cuts)
-    base = [kept for _, kept, _, _ in cuts].index(part0)
-    slack = _slack(len(ds))
-    feasible = []
-    for alpha in ALPHA_GRID:
-        scores = _screen(alpha, ds, cuts)
-        s0 = scores[base]
-        if min(scores) < s0 * (1.0 - slack):
-            continue  # a rival certainly scores lower
-        near = [cut[0] for i, (cut, s) in enumerate(zip(cuts, scores))
-                if i != base and s <= s0 * (1.0 + slack)]
-        if near:
-            F0 = objective(alpha, tau0, ds)
-            if not all(F0 < objective(alpha, tau, ds) for tau in near):
-                continue
-        feasible.append(alpha)
+    feasible = [alpha for alpha in ALPHA_GRID
+                if all(objective(alpha, tau0, ds) < objective(alpha, tau, ds)
+                       for tau in rivals)]
     if not feasible:
         raise NoConsistentAlpha(
             f"no grid alpha makes tau={tau0} optimal for these distances")

@@ -87,18 +87,19 @@ class TestSelectTau:
     @given(
         deltas=st.lists(st.floats(0.1, 50.0), min_size=3, max_size=12),
         alpha=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
-        k=st.floats(0.01, 100.0),
+        k=st.integers(-6, 6).map(lambda e: 2.0 ** e),
     )
     @settings(max_examples=300)
     def test_scale_invariance(self, deltas, alpha, k):
-        """Scaling every distance by k scales the chosen tau by k, as
-        long as rounding keeps the distinct distances distinct."""
-        scaled_deltas = [k * d for d in deltas]
-        if len(set(deltas)) < 2 or len(set(scaled_deltas)) < len(set(deltas)):
+        """Scaling every distance by a power of two k scales the chosen
+        tau by k.  Such a k scales every sum without rounding, so the
+        scores and the choice are exact; another k can round two
+        distinct distances together and change the candidates."""
+        if len(set(deltas)) < 2:
             return
         tau = select_tau(alpha, deltas)
-        scaled = select_tau(alpha, scaled_deltas)
-        assert scaled == pytest.approx(k * tau, rel=1e-9)
+        scaled = select_tau(alpha, [k * d for d in deltas])
+        assert scaled == k * tau
 
     @given(
         deltas=st.lists(st.floats(0.1, 50.0), min_size=3, max_size=12),
@@ -215,8 +216,8 @@ def tenths(draw, max_size):
 
 
 class TestScreenIsExact:
-    """The screened ``select_tau`` and ``learn_alpha`` return exactly
-    what the exhaustive scans return, or raise the same error."""
+    """``select_tau`` and ``learn_alpha`` return exactly what the
+    exhaustive scans return, or raise the same error."""
 
     @given(deltas=tenths(500), alpha=st.sampled_from(ALPHA_GRID),
            previous=st.sampled_from([None, 1.5]))
