@@ -32,7 +32,7 @@ def main() -> None:
     print(f"total stream freshness caps at {total:,.0f}")
     print(f"a cell is active from {threshold:,.0f} density upward")
     print(f"an untouched outlier cell is safe to delete after "
-          f"{horizon.seconds:.4f}s")
+          f"{horizon:.4f}s")
     print()
 
     print("one point, left alone:")

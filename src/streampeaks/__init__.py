@@ -12,7 +12,6 @@ command drives it from files.
 from streampeaks.cells import AssignResult, CellSpace, StreamPoint
 from streampeaks.decay import (
     DecayParams,
-    DeletionHorizon,
     absorb,
     active_threshold,
     decay_density,
@@ -35,7 +34,7 @@ from streampeaks.errors import (
     UnknownCell,
 )
 from streampeaks.evolution import EventLog, EvolutionEvent, diff_snapshots
-from streampeaks.reservoir import OutlierReservoir, capacity_bound
+from streampeaks.reservoir import OutlierReservoir
 from streampeaks.scenarios import builtin, builtin_names, generate
 from streampeaks.tau import (
     DecisionGraphPoint,
@@ -57,7 +56,6 @@ __all__ = [
     "DPTree",
     "DecayParams",
     "DecisionGraphPoint",
-    "DeletionHorizon",
     "DimensionMismatch",
     "EngineConfig",
     "EngineStateError",
@@ -79,7 +77,6 @@ __all__ = [
     "active_threshold",
     "builtin",
     "builtin_names",
-    "capacity_bound",
     "decay_density",
     "decision_graph",
     "deletion_horizon",

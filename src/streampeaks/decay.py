@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 # Decay factors below this are treated as zero so that ancient cells
 # compare as exactly equal instead of trading denormal noise.
@@ -48,11 +47,6 @@ class DecayParams:
                 f"beta={self.beta} outside legal range ({lo}, 1); "
                 "the activation threshold would not exceed a single fresh point"
             )
-
-
-class DeletionHorizon(NamedTuple):
-    seconds: float
-    always_safe: bool
 
 
 def decay_factor(params: DecayParams, dt: float) -> float:
@@ -95,22 +89,21 @@ def active_threshold(params: DecayParams) -> float:
     return params.beta * total_freshness(params)
 
 
-def deletion_horizon(params: DecayParams) -> DeletionHorizon:
-    """How long an untouched inactive cell must sit before deletion is safe.
+def deletion_horizon(params: DecayParams) -> float:
+    """Seconds an untouched inactive cell must sit before deletion is safe.
 
     ``(log_a(1 - a**lam) - log_a(beta*v)) / (lam*v)``.  When ``beta*v``
     does not exceed ``1 - a**lam`` the formula goes nonpositive, meaning
     a threshold-density cell already decays below one fresh point
-    immediately; deletion is then always safe and the horizon reports 0
-    with the flag set.
+    immediately; deletion is then always safe and the horizon is 0.0.
     """
     la = math.log(params.a)
     horizon = (math.log(1.0 - params.a**params.lam) / la - math.log(params.beta * params.v) / la) / (
         params.lam * params.v
     )
     if horizon <= 0.0:
-        return DeletionHorizon(0.0, True)
-    return DeletionHorizon(horizon, False)
+        return 0.0
+    return horizon
 
 
 def density_order_key(params: DecayParams, rho_last: float, t_last: float) -> float:

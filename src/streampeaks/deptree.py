@@ -26,16 +26,6 @@ from streampeaks.errors import CellStateError
 FILTER_MODES = ("off", "density", "both")
 
 
-def density_filter_skips(rho_c_before: float, rho_c_after: float,
-                         rho_cp_before: float, rho_cp_after: float) -> bool:
-    """True when cell c cannot need a dependency update after c' absorbed
-    a point: either c' was already denser than c, or c is still at least
-    as dense as c'.  Only cells whose density order against c' flipped
-    can possibly relink.
-    """
-    return rho_c_before < rho_cp_before or rho_c_after >= rho_cp_after
-
-
 def triangle_filter_skips(dist_p_c: float, dist_p_cp: float, delta_c: float) -> bool:
     """True when the absorbed point's distances to both seeds already
     prove the seeds lie further apart than c's current dependent
@@ -77,11 +67,6 @@ class ClusterSnapshot:
             for m in c.members:
                 out[m] = c.root
         return out
-
-    def same_clustering(self, other: "ClusterSnapshot") -> bool:
-        """Equality on everything except the outlier list."""
-        return (self.time == other.time and self.tau == other.tau
-                and self.clusters == other.clusters)
 
 
 class PointDistances:
@@ -162,10 +147,6 @@ class DPTree:
     def _fresh_key(self, cell_id: int) -> float:
         cell = self.space.cell(cell_id)
         return density_order_key(self.space.params, cell.rho_last, cell.t_last)
-
-    def denser(self, a: int, b: int) -> bool:
-        """True when active cell a outranks b (id breaks density ties)."""
-        return self._rank(a) < self._rank(b)
 
     def compute_dependency(self, c: int) -> tuple[Optional[int], float]:
         """Nearest strictly-denser active cell and its seed distance.
@@ -328,8 +309,3 @@ class DPTree:
                          for r, ms in sorted(by_root.items()))
         return ClusterSnapshot(time=t, tau=tau, clusters=clusters,
                                outlier_cells=tuple(sorted(outliers)))
-
-    def check_order_index(self) -> bool:
-        """Test hook: the sorted rank list matches the key map exactly."""
-        expect = sorted((-k, c) for c, k in self.key.items())
-        return self._order == expect

@@ -52,18 +52,6 @@ class EvolutionEvent:
         if not ok:
             raise ValueError(f"{self.kind} with {n_old} old / {n_new} new ids")
 
-    def count_delta(self) -> int:
-        """Change in cluster count this event accounts for."""
-        if self.kind == "Split":
-            return len(self.new_ids) - 1
-        if self.kind == "Merge":
-            return -(len(self.old_ids) - 1)
-        if self.kind == "Emerge":
-            return 1
-        if self.kind == "Disappear":
-            return -1
-        return 0
-
 
 class EventLog:
     """Append-only, time-ordered event record."""

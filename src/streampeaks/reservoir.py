@@ -10,26 +10,12 @@ by more than one arrival.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from streampeaks.cells import CellSpace
-from streampeaks.decay import DecayParams, active_threshold, deletion_horizon
+from streampeaks.decay import active_threshold, deletion_horizon
 from streampeaks.deptree import DPTree, PointDistances
 from streampeaks.errors import CellStateError
-
-
-def capacity_bound(params: DecayParams) -> int:
-    """Most cells the reservoir can ever hold: horizon backlog plus the
-    activation budget, ``ceil(horizon*v + 1/beta)``."""
-    return math.ceil(deletion_horizon(params).seconds * params.v + 1.0 / params.beta)
-
-
-def active_bound(params: DecayParams) -> int:
-    """Most cells that can be active at once, ``ceil(1/beta)``: total
-    stream freshness tops out at v/(1-a**lam) and each active cell holds
-    at least a beta share of it."""
-    return math.ceil(1.0 / params.beta)
 
 
 class OutlierReservoir:
@@ -43,7 +29,7 @@ class OutlierReservoir:
         self.space = space
         self.tree = tree
         self.threshold = active_threshold(space.params)
-        self.horizon = deletion_horizon(space.params).seconds
+        self.horizon = deletion_horizon(space.params)
         self.last_touch: dict[int, float] = {}
 
     def __len__(self) -> int:

@@ -176,9 +176,6 @@ def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
     return time, rows
 
 
-_EVENT_FIELDS = ("time", "kind", "old_ids", "new_ids", "adjust_kind", "cause")
-
-
 def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
     """JSON-lines event log, one event per line, fixed field order."""
     with Path(path).open("w") as fh:
@@ -194,23 +191,6 @@ def write_events(path: PathLike, events: Iterable[EvolutionEvent]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_events(path: PathLike) -> list[EvolutionEvent]:
-    events: list[EvolutionEvent] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if tuple(rec) != _EVENT_FIELDS:
-                raise StreamFormatError(
-                    f"line {lineno}: event fields {tuple(rec)} != {_EVENT_FIELDS}")
-            events.append(EvolutionEvent(
-                time=rec["time"], kind=rec["kind"],
-                old_ids=tuple(rec["old_ids"]), new_ids=tuple(rec["new_ids"]),
-                adjust_kind=rec["adjust_kind"], cause=rec["cause"]))
-    return events
-
-
 def write_counters(path: PathLike, counters: dict[str, int]) -> None:
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -220,10 +200,26 @@ def write_counters(path: PathLike, counters: dict[str, int]) -> None:
 
 
 def read_counters(path: PathLike) -> dict[str, int]:
+    """Inverse of write_counters.  Errors name the file and the 1-based
+    line."""
+    path = Path(path)
+    counters: dict[str, int] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        return {name: int(value) for name, value in reader}
+        header = next(reader, None)
+        if header != ["counter", "value"]:
+            raise StreamFormatError(
+                f"{path.name}: line 1: bad counters header, "
+                "expected counter,value")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                counters[row[0]] = int(row[1])
+            except ValueError as exc:
+                raise StreamFormatError(
+                    f"{path.name}: line {lineno}: {exc}") from None
+    return counters
 
 
 def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None:
@@ -233,9 +229,3 @@ def write_eval(path: PathLike, rows: Iterable[tuple[float, str, float]]) -> None
         for time, metric, value in rows:
             w.writerow([_fmt(time), metric, _fmt(value)])
 
-
-def read_eval(path: PathLike) -> list[tuple[float, str, float]]:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        return [(float(t), m, float(v)) for t, m, v in reader]

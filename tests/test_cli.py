@@ -17,12 +17,12 @@ from streampeaks.reference import LabeledAssignment, weighted_purity
 from streampeaks.streams import (
     list_snapshots,
     read_counters,
-    read_eval,
-    read_events,
     read_snapshot,
     read_stream,
     write_stream,
 )
+
+from _oracles import read_eval, read_events
 
 SDS_CONFIG = """\
 r = 1.6

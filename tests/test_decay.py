@@ -146,30 +146,28 @@ class TestCeilings:
 class TestDeletionHorizon:
     def test_reference_config_value(self):
         h = deletion_horizon(REF)
-        assert not h.always_safe
+        assert h > 0.0
         la = math.log(0.998)
         expect = (math.log(0.002) / la - math.log(2.1) / la) / 1000.0
-        assert h.seconds == pytest.approx(expect, rel=1e-12)
-        assert h.seconds == pytest.approx(3.4748, abs=1e-4)
+        assert h == pytest.approx(expect, rel=1e-12)
+        assert h == pytest.approx(3.4748, abs=1e-4)
 
     def test_horizon_increases_with_beta(self):
         # Higher beta means a higher activation threshold, hence a larger
         # worst-case residual that takes longer to decay below one point.
-        hs = [deletion_horizon(DecayParams(a=0.998, lam=1.0, v=1000.0, beta=b)).seconds
+        hs = [deletion_horizon(DecayParams(a=0.998, lam=1.0, v=1000.0, beta=b))
               for b in (0.0021, 0.01, 0.1, 0.9)]
         assert hs == sorted(hs)
         assert hs[0] < hs[-1]
 
     def test_degenerate_config_flagged(self):
         # beta an ulp above the legal floor: the horizon formula lands at
-        # (or below) zero and the result must say deletion is always safe.
+        # (or below) zero and the result must say deletion is always safe,
+        # a horizon of exactly 0.0.
         lo = (1.0 - 0.998**1.0) / 1000.0
         p = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=math.nextafter(lo, 1.0))
         h = deletion_horizon(p)
-        if h.always_safe:
-            assert h.seconds == 0.0
-        else:
-            assert 0.0 < h.seconds < 1e-9
+        assert 0.0 <= h < 1e-9
 
     def test_simulation_oracle_at_unit_rate(self):
         """Discrete-event check of what the horizon guarantees.
@@ -185,7 +183,7 @@ class TestDeletionHorizon:
         p = DecayParams(a=0.998, lam=1.0, v=1.0, beta=0.0021)
         thresh = active_threshold(p)
         h = deletion_horizon(p)
-        residual = decay_density(p, thresh, 0.0, h.seconds)
+        residual = decay_density(p, thresh, 0.0, h)
         assert residual == pytest.approx(1.0, rel=1e-9)
 
         def arrivals_to_activate(start_density):

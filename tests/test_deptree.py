@@ -7,13 +7,15 @@ import pytest
 
 from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.decay import DecayParams
-from streampeaks.deptree import (
-    DPTree,
-    PointDistances,
-    density_filter_skips,
-    triangle_filter_skips,
-)
+from streampeaks.deptree import DPTree, PointDistances, triangle_filter_skips
 from streampeaks.errors import CellStateError
+
+from _oracles import (
+    check_order_index,
+    denser,
+    density_filter_skips,
+    same_clustering,
+)
 
 PARAMS = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 
@@ -66,7 +68,7 @@ def assert_matches_brute(tree):
 def assert_equals_scratch(tree):
     scratch = DPTree.build(tree.space, filters=tree.filters)
     assert tree.forest_state() == scratch.forest_state()
-    assert tree.check_order_index()
+    assert check_order_index(tree)
 
 
 class TestComputeDependency:
@@ -149,6 +151,21 @@ class TestOnDensityIncrease:
         tree.on_density_increase(1)
         assert tree.parent[1] is None and tree.delta[1] == math.inf
         assert tree.parent[0] == 1 and tree.delta[0] == pytest.approx(0.4)
+        assert_equals_scratch(tree)
+
+    def test_triangle_gap_equal_to_delta_still_relinks(self):
+        """On a lattice of multiples of r/2 = 0.25 every distance is
+        exact.  c (id 0, at 0) absorbs a point at -0.25 and overtakes
+        e (at 1), whose dependency sits at 2.  The point's distances to
+        e and c differ by exactly delta[e] = 1, so the triangle filter
+        must not skip e: the tie then goes to the smaller id, c."""
+        sp = make_space([(2.5, (0.0,)), (3, (1.0,)), (5, (2.0,))], r=0.5)
+        tree = DPTree.build(sp)
+        assert (tree.parent[1], tree.delta[1]) == (2, 1.0)
+        res = sp.assign_point(StreamPoint.of((-0.25,), 0.0))
+        assert res.cell_id == 0 and not res.created
+        tree.on_density_increase(0, PointDistances(sp))
+        assert (tree.parent[1], tree.delta[1]) == (0, 1.0)
         assert_equals_scratch(tree)
 
     def test_relinks_only_hit_order_flipped_cells(self):
@@ -280,7 +297,7 @@ class TestExtractClusters:
         assert snap.membership() == {0: 0, 1: 0, 2: 2}
         assert snap.outlier_cells == (5, 7)
         other = self._forked().extract_clusters(1.0, t=0.0, outliers=(9,))
-        assert snap.same_clustering(other)
+        assert same_clustering(snap, other)
 
 
 def _grid_space_tree(rng, filters="both", n_side=4, spacing=3.0, r=0.35):
@@ -353,7 +370,7 @@ class TestIncrementalEqualsScratch:
         from streampeaks.cells import seed_distance
         for c in tree.nodes():
             for e in tree.nodes():
-                if e != c and tree.denser(e, c):
+                if e != c and denser(tree, e, c):
                     assert seed_distance(sp.cell(c).seed, sp.cell(e).seed) \
                         >= tree.delta[c]
 

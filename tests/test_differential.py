@@ -25,6 +25,8 @@ from streampeaks.decay import active_threshold
 from streampeaks.deptree import DPTree
 from streampeaks.engine import EngineConfig, StreamEngine
 
+from _oracles import check_order_index
+
 R = 1.0
 BASE = dict(r=R, a=0.9, lam=1.0, v=4.0, beta=0.04, tau0=1.5, alpha=0.2,
             init_cell_count=2, recycle=True)
@@ -76,7 +78,7 @@ class EngineMachine(RuleBasedStateMachine):
                             if _descends_from(tree.parent, x, c))
             got = remove(c)
             assert got == expect
-            assert tree.check_order_index()
+            assert check_order_index(tree)
             seen["removed_cells"] += len(got)
             return got
 

@@ -11,13 +11,9 @@ from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.decay import DecayParams
 from streampeaks.deptree import Cluster, ClusterSnapshot, DPTree
 from streampeaks.errors import MissingLabels
-from streampeaks.reference import (
-    BatchParams,
-    LabeledAssignment,
-    batch_dp,
-    recompute_all,
-    weighted_purity,
-)
+from streampeaks.reference import LabeledAssignment, weighted_purity
+
+from _oracles import BatchParams, batch_dp, recompute_all
 
 PARAMS = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 

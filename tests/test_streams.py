@@ -11,8 +11,6 @@ from streampeaks.evolution import EvolutionEvent
 from streampeaks.streams import (
     list_snapshots,
     read_counters,
-    read_eval,
-    read_events,
     read_snapshot,
     read_stream,
     snapshot_filename,
@@ -23,6 +21,8 @@ from streampeaks.streams import (
     write_snapshot,
     write_stream,
 )
+
+from _oracles import read_eval, read_events
 
 
 class TestStreamRoundTrip:
@@ -193,6 +193,18 @@ class TestCountersAndEval:
         write_counters(path, {"z_last": 1, "a_first": 2})
         assert path.read_text().splitlines()[1].startswith("a_first")
         assert read_counters(path) == {"z_last": 1, "a_first": 2}
+
+    @pytest.mark.parametrize("text, line", [
+        ("counter,value\nok,1\na,x\n", 3),
+        ("counter,value\na,1,2\n", 2),
+        ("name,count\na,1\n", 1),
+    ], ids=["not-int", "three-fields", "bad-header"])
+    def test_bad_counters_name_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "counters.csv"
+        path.write_text(text)
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"counters.csv: line {line}:")):
+            read_counters(path)
 
     def test_eval_round_trip(self, tmp_path):
         path = tmp_path / "eval.csv"
