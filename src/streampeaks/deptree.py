@@ -19,19 +19,11 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from streampeaks.cells import CellSpace, Coords, seed_distance
+from streampeaks.cells import CellSpace, seed_distance
 from streampeaks.decay import density_order_key
 from streampeaks.errors import CellStateError
 
 FILTER_MODES = ("off", "density", "both")
-
-
-def triangle_filter_skips(dist_p_c: float, dist_p_cp: float, delta_c: float) -> bool:
-    """True when the absorbed point's distances to both seeds already
-    prove the seeds lie further apart than c's current dependent
-    distance, so the exact seed distance never needs computing.
-    """
-    return abs(dist_p_c - dist_p_cp) > delta_c
 
 
 class Relink(NamedTuple):
@@ -71,18 +63,16 @@ class ClusterSnapshot:
 
 class PointDistances:
     """Distances from the arriving point to every live seed, read from
-    the store's last seed search without copying it.
+    the store's last seed search without copying it: the point lies
+    ``scan[row_of[cell_id]]`` from that cell's seed.
 
     Valid until the store next adds or removes a cell, which the engine
     never does between an absorption and its dependency updates.
     """
 
     def __init__(self, space: CellSpace):
-        self._scan = space.last_scan
-        self._row_of = space.row_of
-
-    def get(self, cell_id: int) -> float:
-        return float(self._scan[self._row_of[cell_id]])
+        self.scan = space.last_scan
+        self.row_of = space.row_of
 
 
 class DPTree:
@@ -90,8 +80,17 @@ class DPTree:
 
     ``_order`` holds (-key, id) pairs sorted ascending, densest first,
     so the cells a density jump overtook sit in one contiguous slice.
-    ``seed_distance_evals`` counts seed-to-seed distances computed by
-    dependency maintenance; the update filters exist to shrink it.
+
+    ``seed_dists`` caches the seed distance of every pair of tree cells
+    that dependency maintenance has examined, stored both ways round
+    (``seed_dists[a][b] == seed_dists[b][a]``).  Seeds never move and
+    cell ids are never reused, so an entry stays exact while both cells
+    are in the tree; ``remove_subtree`` drops a removed cell's entries
+    on both sides, so the cache holds at most |tree|·(|tree|−1) entries.
+
+    ``seed_distance_evals`` counts the seed pairs dependency maintenance
+    examines, cache hits included, so it does not depend on the cache;
+    the update filters exist to shrink it.
     """
 
     def __init__(self, space: CellSpace, *, filters: str = "both"):
@@ -102,6 +101,7 @@ class DPTree:
         self.parent: dict[int, Optional[int]] = {}
         self.delta: dict[int, float] = {}
         self.key: dict[int, float] = {}
+        self.seed_dists: dict[int, dict[int, float]] = {}
         self._order: list[tuple[float, int]] = []
         self.seed_distance_evals = 0
         self.filter_skips = 0
@@ -137,10 +137,6 @@ class DPTree:
         """Immutable view used for exact equality comparisons."""
         return {c: (self.parent[c], self.delta[c]) for c in self.parent}
 
-    def _dist(self, a: Coords, b: Coords) -> float:
-        self.seed_distance_evals += 1
-        return seed_distance(a, b)
-
     def _rank(self, cell_id: int) -> tuple[float, int]:
         return (-self.key[cell_id], cell_id)
 
@@ -158,19 +154,22 @@ class DPTree:
         """
         if c not in self.key:
             raise CellStateError(f"cell {c} is not in the tree")
-        prefix_end = bisect_left(self._order, self._rank(c))
-        seed_c = self.space.cell(c).seed
-        best = math.inf
-        best_ids: list[int] = []
-        for _, e in self._order[:prefix_end]:
-            d = self._dist(seed_c, self.space.cell(e).seed)
+        prefix = self._order[:bisect_left(self._order, self._rank(c))]
+        self.seed_distance_evals += len(prefix)
+        cells, dists = self.space.cells, self.seed_dists
+        row = dists[c]
+        cached = row.get
+        seed_c = cells[c].seed
+        best, best_id = math.inf, None
+        for _, e in prefix:
+            d = cached(e)
+            if d is None:
+                d = row[e] = dists[e][c] = seed_distance(seed_c, cells[e].seed)
             if d < best:
-                best, best_ids = d, [e]
-            elif d == best:
-                best_ids.append(e)
-        if not best_ids:
-            return None, math.inf
-        return min(best_ids), best
+                best, best_id = d, e
+            elif d == best and (best_id is None or e < best_id):
+                best_id = e
+        return best_id, best
 
     def insert_active(self, c: int,
                       point_dists: Optional[PointDistances] = None) -> list[Relink]:
@@ -185,6 +184,7 @@ class DPTree:
         if c in self.parent:
             raise CellStateError(f"cell {c} is already in the tree")
         self.key[c] = self._fresh_key(c)
+        self.seed_dists[c] = {}
         rank_c = self._rank(c)
         insort(self._order, rank_c)
         self.parent[c], self.delta[c] = self.compute_dependency(c)
@@ -192,7 +192,7 @@ class DPTree:
         pos = bisect_left(self._order, rank_c)
         records = self._relink_to(c, [e for _, e in self._order[pos + 1:]],
                                   point_dists)
-        records.sort(key=lambda rec: rec.cell)
+        records.sort()  # one record per cell, so this orders by cell
         return records
 
     def _relink_to(self, c: int, candidates: list[int],
@@ -201,24 +201,41 @@ class DPTree:
         its current dependency (equal distance goes to the smaller id).
 
         With both filters on, the triangle filter rules candidates out
-        from the absorbed point's distances before any exact seed
-        distance is computed.
+        from the absorbed point's distances before any seed distance is
+        examined: the seeds of e and c lie at least |d(p,e) − d(p,c)|
+        apart, so a gap wider than delta[e] proves e keeps its link.
         """
+        if not candidates:
+            return []
         use_triangle = self.filters == "both" and point_dists is not None
-        dist_p_c = point_dists.get(c) if use_triangle else 0.0
+        if use_triangle:
+            # A memoryview reads the scan as Python floats, bit for bit,
+            # without making a numpy scalar per candidate.
+            scan, row_of = memoryview(point_dists.scan), point_dists.row_of
+            dist_p_c = scan[row_of[c]]
+        cells, dists = self.space.cells, self.seed_dists
+        parent, delta = self.parent, self.delta
+        row = dists[c]
+        cached = row.get
+        seed_c = cells[c].seed
+        inf = math.inf
         records = []
-        seed_c = self.space.cell(c).seed
+        skips = 0
         for e in candidates:
-            de = self.delta[e]
-            if (use_triangle and math.isfinite(de)
-                    and triangle_filter_skips(point_dists.get(e), dist_p_c, de)):
-                self.filter_skips += 1
+            de = delta[e]
+            if (use_triangle and de < inf
+                    and abs(scan[row_of[e]] - dist_p_c) > de):
+                skips += 1
                 continue
-            d = self._dist(seed_c, self.space.cell(e).seed)
-            pe = self.parent[e]
+            d = cached(e)
+            if d is None:
+                d = row[e] = dists[e][c] = seed_distance(seed_c, cells[e].seed)
+            pe = parent[e]
             if d < de or (d == de and pe is not None and c < pe):
                 records.append(Relink(e, pe, c, de, d))
-                self.parent[e], self.delta[e] = c, d
+                parent[e], delta[e] = c, d
+        self.filter_skips += skips
+        self.seed_distance_evals += len(candidates) - skips
         return records
 
     def on_density_increase(self, c: int,
@@ -256,12 +273,13 @@ class DPTree:
             if (dep, delta) != (old_dep, self.delta[c]):
                 records.append(Relink(c, old_dep, dep, self.delta[c], delta))
                 self.parent[c], self.delta[c] = dep, delta
-        records.sort(key=lambda rec: rec.cell)
+        records.sort()  # one record per cell, so this orders by cell
         return records
 
     def remove_subtree(self, c: int) -> list[int]:
         """Detach c and every descendant and return their ids, sorted;
-        remaining links are untouched.
+        remaining links are untouched, and the removed cells' cached
+        seed distances are dropped on both sides.
 
         Sound because any cell depending on a removed cell is that
         cell's child, hence itself inside the removed subtree.  A cell
@@ -279,29 +297,27 @@ class DPTree:
             else:
                 kept.append(rank)
         self._order[pos:] = kept
+        dists = self.seed_dists
         for x in removed:
             del self.parent[x], self.delta[x], self.key[x]
+            for e in dists.pop(x).keys() - removed:
+                del dists[e][x]
         return sorted(removed)
 
     def extract_clusters(self, tau: float, t: float,
                          outliers: tuple[int, ...] = ()) -> ClusterSnapshot:
-        """Cut every link with delta > tau; each component is a cluster."""
+        """Cut every link with delta > tau; each component is a cluster.
+
+        One walk in rank order settles every root: a cell ranks below
+        its dependency, so the dependency's root is already known.
+        """
         if tau <= 0.0:
             raise ValueError("tau must be positive")
+        parent, delta = self.parent, self.delta
         root_of: dict[int, int] = {}
-        for c in self.parent:
-            chain: list[int] = []
-            x = c
-            while x not in root_of:
-                p = self.parent[x]
-                if p is None or self.delta[x] > tau:
-                    root_of[x] = x
-                    break
-                chain.append(x)
-                x = p
-            r = root_of[x]
-            for y in chain:
-                root_of[y] = r
+        for _, c in self._order:
+            p = parent[c]
+            root_of[c] = c if p is None or delta[c] > tau else root_of[p]
         by_root: dict[int, list[int]] = {}
         for c, r in root_of.items():
             by_root.setdefault(r, []).append(c)

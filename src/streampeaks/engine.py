@@ -228,8 +228,9 @@ class StreamEngine:
         self.prefix_assignments = assigned
         self._counts["new_cells"] += len(space)
         self.reservoir = OutlierReservoir(space, tree)
-        for cid in space.inactive_ids():
-            self.reservoir.put(cid, space.cell(cid).t_last)
+        for t_last, cid in sorted((space.cell(cid).t_last, cid)
+                                  for cid in space.inactive_ids()):
+            self.reservoir.put(cid, t_last)
         self.tau_state = TauState(alpha, self.config.tau0,
                                   tuple(candidate_taus(deltas)))
         graph = decision_graph(tree, t)

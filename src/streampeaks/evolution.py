@@ -170,18 +170,16 @@ def diff_snapshots(prev: ClusterSnapshot, next_: ClusterSnapshot
         adjusts.append(EvolutionEvent(t, "Adjust", (p,), (n,),
                                       adjust_kind="MovedBetweenClusters",
                                       cause=CAUSE_RELINK))
-    for cluster in next_.clusters:
-        if cluster.root in emerged:
-            continue
-        if any(c not in prev_m for c in cluster.members):
-            adjusts.append(EvolutionEvent(t, "Adjust", (), (cluster.root,),
+    joined = {next_m[c] for c in next_m.keys() - prev_m.keys()}
+    for n in next_.cluster_ids():
+        if n in joined and n not in emerged:
+            adjusts.append(EvolutionEvent(t, "Adjust", (), (n,),
                                           adjust_kind="OutliersJoined",
                                           cause=CAUSE_ACTIVATION))
-    for cluster in prev.clusters:
-        if cluster.root in gone:
-            continue
-        if any(c not in next_m for c in cluster.members):
-            adjusts.append(EvolutionEvent(t, "Adjust", (cluster.root,), (),
+    left = {prev_m[c] for c in prev_m.keys() - next_m.keys()}
+    for p in prev.cluster_ids():
+        if p in left and p not in gone:
+            adjusts.append(EvolutionEvent(t, "Adjust", (p,), (),
                                           adjust_kind="BecameOutliers",
                                           cause=CAUSE_DEACTIVATION))
 

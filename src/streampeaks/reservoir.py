@@ -23,6 +23,10 @@ class OutlierReservoir:
 
     Owns the activation/deactivation state transitions between the cell
     store and the dependency tree; single mutator (the engine loop).
+    ``last_touch`` is kept in touch order: stream time never goes back,
+    and a touch re-inserts its key, so the times read in insertion
+    order never decrease.  Callers that put several cells at once put
+    them in ``(t, id)`` order.
     """
 
     def __init__(self, space: CellSpace, tree: DPTree):
@@ -64,6 +68,7 @@ class OutlierReservoir:
             self.space.cell(cell_id).active = True
             self.tree.insert_active(cell_id, point_dists)
             return True
+        del self.last_touch[cell_id]
         self.last_touch[cell_id] = t
         return False
 
@@ -91,9 +96,19 @@ class OutlierReservoir:
         return moved
 
     def recycle(self, t: float) -> list[int]:
-        """Delete every cell untouched for longer than the horizon."""
-        doomed = sorted(c for c, touched in self.last_touch.items()
-                        if t - touched > self.horizon)
+        """Delete every cell untouched for longer than the horizon.
+
+        The expired cells are a prefix of ``last_touch``: its times
+        never decrease in touch order, and float subtraction is
+        monotone, so ``t - touched`` never increases along it.  The
+        scan stops at the first cell still inside the horizon.
+        """
+        doomed = []
+        for c, touched in self.last_touch.items():
+            if t - touched <= self.horizon:
+                break
+            doomed.append(c)
+        doomed.sort()
         for c in doomed:
             del self.last_touch[c]
             self.space.remove_cell(c)

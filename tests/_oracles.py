@@ -138,6 +138,15 @@ def density_filter_skips(rho_c_before: float, rho_c_after: float,
     return rho_c_before < rho_cp_before or rho_c_after >= rho_cp_after
 
 
+def triangle_filter_skips(dist_p_c: float, dist_p_cp: float, delta_c: float) -> bool:
+    """True when the absorbed point's distances to both seeds already
+    prove the seeds lie further apart than c's current dependent
+    distance, so the exact seed distance never needs computing.
+    ``DPTree._relink_to`` applies this rule inline.
+    """
+    return abs(dist_p_c - dist_p_cp) > delta_c
+
+
 def check_order_index(tree: DPTree) -> bool:
     """The tree's sorted rank list matches its key map exactly."""
     expect = sorted((-k, c) for c, k in tree.key.items())

@@ -186,7 +186,7 @@ def assert_scan_exact(sp, coords):
     assert len(sp.last_scan) == len(sp)
     pd = PointDistances(sp)
     for cid, cell in sp.cells.items():
-        assert pd.get(cid) == seed_distance(coords, cell.seed)
+        assert pd.scan[pd.row_of[cid]] == seed_distance(coords, cell.seed)
 
 
 R = 0.5

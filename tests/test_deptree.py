@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from streampeaks.cells import CellSpace, StreamPoint
+from streampeaks.cells import CellSpace, StreamPoint, seed_distance
 from streampeaks.decay import DecayParams
-from streampeaks.deptree import DPTree, PointDistances, triangle_filter_skips
+from streampeaks.deptree import DPTree, PointDistances
 from streampeaks.errors import CellStateError
 
 from _oracles import (
@@ -15,6 +15,7 @@ from _oracles import (
     denser,
     density_filter_skips,
     same_clustering,
+    triangle_filter_skips,
 )
 
 PARAMS = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
@@ -263,6 +264,42 @@ class TestRemoveSubtree:
             tree.remove_subtree(9)
 
 
+class TestSeedDistanceCache:
+    def _entries(self, tree):
+        return {(a, b): d for a, row in tree.seed_dists.items()
+                for b, d in row.items()}
+
+    def test_build_caches_every_denser_pair_both_ways(self):
+        sp = make_space([(5, (0.0, 0.0)), (3, (1.0, 0.0)), (2, (3.0, 0.0))])
+        tree = DPTree.build(sp)
+        assert tree.seed_distance_evals == 3
+        assert self._entries(tree) == {
+            (a, b): seed_distance(sp.cell(a).seed, sp.cell(b).seed)
+            for a in range(3) for b in range(3) if a != b}
+        # A cache hit still counts as an examined pair.
+        tree.compute_dependency(2)
+        assert tree.seed_distance_evals == 5
+
+    def test_removed_subtree_leaves_no_entry_and_reinsert_recomputes(self):
+        """Poison the cached 0-1 distance, deactivate 1 and its child 2,
+        and activate both again: the poisoned entry must be gone, and
+        every entry equal to seed_distance bit for bit."""
+        sp = make_space([(5, (0.0, 0.0)), (3, (1.0, 0.0)), (2, (3.0, 0.0)),
+                         (4, (0.3, 0.7))])
+        tree = DPTree.build(sp)
+        tree.seed_dists[0][1] = tree.seed_dists[1][0] = 123.0
+        assert tree.remove_subtree(1) == [1, 2]
+        assert set(tree.seed_dists) == {0, 3}
+        assert all(set(row) <= {0, 3} for row in tree.seed_dists.values())
+        for c in (1, 2):
+            tree.insert_active(c)
+        entries = self._entries(tree)
+        assert (0, 1) in entries
+        for (a, b), d in entries.items():
+            assert d == seed_distance(sp.cell(a).seed, sp.cell(b).seed)
+        assert_equals_scratch(tree)
+
+
 class TestExtractClusters:
     def _forked(self):
         # A(0) at origin; B(1) hangs off A at 0.5; C(2) hangs off A at 3.
@@ -367,7 +404,6 @@ class TestIncrementalEqualsScratch:
         for _ in range(100):
             t += float(rng.random()) * 0.3
             _absorb_random(sp, tree, rng, t)
-        from streampeaks.cells import seed_distance
         for c in tree.nodes():
             for e in tree.nodes():
                 if e != c and denser(tree, e, c):

@@ -20,7 +20,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from streampeaks.cells import StreamPoint
+from streampeaks.cells import StreamPoint, seed_distance
 from streampeaks.decay import active_threshold
 from streampeaks.deptree import DPTree
 from streampeaks.engine import EngineConfig, StreamEngine
@@ -103,6 +103,21 @@ class EngineMachine(RuleBasedStateMachine):
             assert eng.tree.forest_state() == scratch.forest_state()
 
     @invariant()
+    def seed_distance_cache_exact(self):
+        """The cache holds tree cells only, both ways round, and every
+        entry carries the bits ``seed_distance`` gives its two seeds."""
+        for eng in (self.engine, self.twin):
+            tree, cells = eng.tree, eng.space.cells
+            dists = tree.seed_dists
+            assert set(dists) == set(tree.nodes())
+            for a, row in dists.items():
+                for b, d in row.items():
+                    assert b != a and b in tree
+                    assert dists[b][a] == d
+                    assert d == seed_distance(cells[a].seed, cells[b].seed)
+                    self.seen["cached_pairs"] += 1
+
+    @invariant()
     def tree_reservoir_recycled_disjoint(self):
         eng = self.engine
         in_tree, in_res = set(eng.tree.nodes()), set(eng.reservoir.ids())
@@ -122,6 +137,11 @@ class EngineMachine(RuleBasedStateMachine):
             assert cell.active == dense
         assert list(eng.log) == list(twin.log)
         assert eng.snapshot_rows() == twin.snapshot_rows()
+        # Recycling stops at the first cell inside the horizon, which is
+        # exact only while the clocks are kept in touch order.
+        touches = list(eng.reservoir.last_touch.values())
+        assert touches == sorted(touches)
+        assert all(eng.now - t <= eng.reservoir.horizon for t in touches)
         self.seen["sweeps"] += 1
         self.seen["active_at_sweep"] += len(eng.tree)
         self.seen["recycled_at_sweep"] += eng.counters()["recycled_cells"]
@@ -137,3 +157,4 @@ def test_engine_matches_references_point_by_point():
     assert seen["active_at_sweep"] > 0
     assert seen["removed_cells"] > 0
     assert seen["recycled_at_sweep"] > 0
+    assert seen["cached_pairs"] > 0

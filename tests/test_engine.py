@@ -231,6 +231,26 @@ class TestInitialize:
         assert eng.tree.forest_state() == fresh.tree.forest_state()
         assert eng.counters() == fresh.counters()
 
+    def test_prefix_cells_join_the_reservoir_in_touch_order(self):
+        """The prefix founds cell 0 at t=0 and cell 1 at t=0.5, then
+        touches cell 0 again at t=1.2; both stay inactive.  At the first
+        sweep (t=1.6, horizon 0.98 s) only cell 1 has expired.  Recycling
+        scans the reservoir in touch order, so ``initialize`` must put
+        its cells by (t_last, id): put by id, cell 0 (inside the
+        horizon) comes first and hides the expired cell 1."""
+        init = (pts([0], 0.0) + pts([10], 0.5) + pts([0], 1.2)
+                + pts([30, 30, 30], 1.2))
+        eng = StreamEngine(TOY_CFG, dim=1)
+        eng.initialize(init)
+        assert eng.reservoir.ids() == [0, 1]
+        assert list(eng.reservoir.last_touch) == [1, 0]
+        for p in pts([30] * TOY_CFG.sweep_interval, 1.6):
+            eng.process_point(p)
+        assert eng.sweep_count == 1
+        assert eng.reservoir.ids() == [0]
+        assert 1 not in eng.space
+        assert eng.counters()["recycled_cells"] == 1
+
 
 class TestAlphaLearning:
     def test_two_blob_stream_learns_alpha(self):
