@@ -35,6 +35,10 @@ class DecayParams:
     beta: float = 0.0021
 
     def __post_init__(self):
+        for name in ("a", "lam", "v", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"decay base must be in (0, 1), got {self.a}")
         if self.lam <= 0.0:

@@ -15,7 +15,7 @@ made later see exactly the same ordering.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -184,12 +184,18 @@ class DPTree:
         if c in self.parent:
             raise CellStateError(f"cell {c} is already in the tree")
         self.key[c] = self._fresh_key(c)
-        self.seed_dists[c] = {}
         rank_c = self._rank(c)
-        insort(self._order, rank_c)
+        pos = bisect_left(self._order, rank_c)
+        # The new cell's row starts empty, so fill it, both ways round,
+        # from one kernel call over its denser prefix.
+        denser = [e for _, e in self._order[:pos]]
+        dists = self.seed_dists
+        row = dists[c] = dict(zip(denser, self.space.seed_distances(c, denser)))
+        for e, d in row.items():
+            dists[e][c] = d
+        self._order.insert(pos, rank_c)
         self.parent[c], self.delta[c] = self.compute_dependency(c)
 
-        pos = bisect_left(self._order, rank_c)
         records = self._relink_to(c, [e for _, e in self._order[pos + 1:]],
                                   point_dists)
         records.sort()  # one record per cell, so this orders by cell

@@ -62,6 +62,10 @@ class EngineConfig:
 
     def __post_init__(self):
         self.decay_params()
+        for name in ("r", "tau0", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.r <= 0.0:
             raise ConfigError("r must be positive")
         if self.tau0 is not None and self.tau0 <= 0.0:
@@ -208,7 +212,7 @@ class StreamEngine:
         if not points:
             raise ConfigError("initialization buffer is empty")
         space = CellSpace(self.params, self.config.r, self.space.dim)
-        assigned = [space.assign_point(p) for p in points]
+        assigned = space.assign_points(points)
         t = space.last_t
         if len(space) < self.config.init_cell_count:
             raise ConfigError(

@@ -55,7 +55,9 @@ def test_traced_engine_run_records_the_hot_spans():
             eng.process_point(p)
     counters = tracer.end_pass()
     calls = {name: s["calls"] for name, s in tracer.span_summary([1.0]).items()}
-    assert calls["cells.assign_point"] == 800
+    # The prefix is searched in blocks by ``assign_points``, which the
+    # tracer does not wrap; only the 300 online points pass through here.
+    assert calls["cells.assign_point"] == 300
     assert calls["engine.process_point"] == 300
     assert calls["deptree.PointDistances"] > 0
     assert counters["cells.seeds_scanned"] > 0

@@ -1,13 +1,15 @@
 """Cell store: assignment, lazy density, seed search against brute force."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streampeaks.cells import CellSpace, StreamPoint, seed_distance
+import streampeaks.cells as cells_module
+from streampeaks.cells import CellSpace, StreamPoint, block_distances, seed_distance
 from streampeaks.decay import DecayParams, decay_density
 from streampeaks.deptree import PointDistances
 from streampeaks.errors import (
@@ -321,6 +323,134 @@ class TestNonFiniteInput:
         sp = self.primed(2)
         with pytest.raises(NonFiniteInput):
             sp.nearest_seed(StreamPoint.of((bad, 0.0), 3.0))
+
+
+class TestBlockDistances:
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_every_entry_has_seed_distance_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(0.0, 3.0, size=(dim, 7)) * 10.0 ** rng.integers(
+            -8, 8, size=(dim, 7))
+        seeds = rng.normal(0.0, 3.0, size=(dim, 11))
+        seeds[:, :3] = points[:, :3]  # some zero distances
+        got = block_distances(points[:, :, None], seeds[:, None, :])
+        assert got.shape == (7, 11)
+        for i in range(7):
+            for j in range(11):
+                assert got[i, j] == seed_distance(tuple(points[:, i]),
+                                                  tuple(seeds[:, j]))
+        one = block_distances(points[:, :1], seeds)
+        assert one.shape == (11,)
+        assert list(one) == list(got[0])
+
+    def test_summation_order_is_seed_distances(self):
+        """One square of 1.0 and seven of 1e-16: added in order, each
+        1e-16 is lost against 1.0, while a reduction that adds the seven
+        small squares first keeps them.  The kernel must match the
+        sequential sum."""
+        point = (0.0,) * 8
+        seed = (1.0,) + (1e-8,) * 7
+        want = seed_distance(point, seed)
+        assert want == 1.0
+        sq = (np.array(seed) - np.array(point)) ** 2
+        assert math.sqrt(sq[0] + np.add.reduce(sq[1:])) != want
+        got = block_distances(np.array(point)[:, None, None],
+                              np.array(seed)[:, None, None])
+        assert got[0, 0] == want
+        assert block_distances(np.array(point)[:, None],
+                               np.array(seed)[:, None])[0] == want
+
+
+def space_state(sp):
+    return ({cid: (c.id, c.seed, c.rho_last, c.t_last)
+             for cid, c in sp.cells.items()},
+            dict(sp.row_of), list(sp.last_scan), sp.points_seen, sp.last_t)
+
+
+@st.composite
+def block_streams(draw):
+    """A store primed by points and removals, then a run of points for
+    one call.  Coordinates are multiples of r/2 on a small lattice, so
+    duplicate points, exact ties and seeds at exactly r are common; the
+    run is long enough to span several blocks, and a small block budget
+    makes blocks of a few points."""
+    dim = draw(st.sampled_from([1, 2, 8]))
+    span = 12 if dim == 1 else 3
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_primed = draw(st.integers(0, 30))
+    n_run = draw(st.integers(1, 400))
+    budget = draw(st.sampled_from([None, 8, 64, 512]))
+    removals = draw(st.lists(st.sampled_from(["first", "middle", "last"]),
+                             max_size=4))
+    ks = rng.integers(-span, span + 1, size=(n_primed + n_run, dim))
+    dts = rng.choice([0.0, 0.0, 0.25, 1.0], size=n_primed + n_run)
+    ts = np.cumsum(dts)
+    points = [StreamPoint.of(k * R / 2, t) for k, t in zip(ks, ts)]
+    return dim, points[:n_primed], removals, points[n_primed:], budget
+
+
+class TestAssignPoints:
+    @given(case=block_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_assign_point_one_by_one(self, case):
+        """Same results, cells, rows and ``last_scan`` as the per-point
+        loop, also when removals have put the rows out of id order."""
+        dim, primed, removals, run, budget = case
+        spaces = []
+        for _ in range(2):
+            sp = space(r=R, dim=dim)
+            for p in primed:
+                sp.assign_point(p)
+            for where in removals:
+                if sp.cells:
+                    by_row = {row: cid for cid, row in sp.row_of.items()}
+                    n = len(by_row)
+                    sp.remove_cell(by_row[{"first": 0, "middle": n // 2,
+                                           "last": n - 1}[where]])
+            spaces.append(sp)
+        one_by_one, blocked = spaces
+        want = [one_by_one.assign_point(p) for p in run]
+        floats = cells_module._BLOCK_FLOATS if budget is None else budget
+        with mock.patch.object(cells_module, "_BLOCK_FLOATS", floats):
+            got = blocked.assign_points(run)
+        assert got == want
+        assert space_state(blocked) == space_state(one_by_one)
+
+    def test_block_size_respects_the_float_budget(self):
+        for dim in (1, 2, 8):
+            sp = space(dim=dim)
+            for n in (0, 1, 63, 64, 340, 4000, 10**5):
+                b = sp._block_size(n)
+                assert 1 <= b <= cells_module._BLOCK_POINTS
+                assert b == 1 or dim * b * (n + b) <= cells_module._BLOCK_FLOATS
+
+    @pytest.mark.parametrize("where", [0, 64, 199])
+    @pytest.mark.parametrize("bad", ["nan", "dimension", "order"])
+    def test_rejected_run_changes_nothing(self, where, bad):
+        """The same exception type and message as the point-by-point
+        loop raises at that point, with nothing assigned.  The run's
+        first block holds 64 points, so 64 opens the second."""
+        sp, ref = space(r=R, dim=2), space(r=R, dim=2)
+        for s in (sp, ref):
+            s.assign_point(StreamPoint.of((0.0, 0.0), 1.0))
+        run = [StreamPoint.of((0.1 * i, 0.0), 1.0 + i) for i in range(200)]
+        p = run[where]
+        if bad == "nan":
+            run[where] = StreamPoint((math.nan, 0.0), p.t)
+        elif bad == "dimension":
+            run[where] = StreamPoint((0.0, 0.0, 0.0), p.t)
+        else:
+            run[where] = StreamPoint(p.coords, 0.5)
+        before = space_state(sp)
+        with pytest.raises(StreamClusteringError) as got:
+            sp.assign_points(run)
+        assert space_state(sp) == before
+        with pytest.raises(StreamClusteringError) as want:
+            for q in run:
+                ref.assign_point(q)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestConfigSeams:

@@ -219,6 +219,23 @@ class TestInsertActive:
         assert tree.delta[res.cell_id] == pytest.approx(9.0)
         assert_equals_scratch(tree)
 
+    def test_exact_tie_in_the_denser_prefix_goes_to_the_smaller_id(self):
+        """Cells 1 (denser) and 0 lie at exactly the same distance from
+        the new cell 2, and the row fill computes both in one kernel
+        call: the smaller id wins, though cell 1 comes first in the
+        prefix."""
+        sp = make_space([(5, (0.5, 1.5)), (9, (1.5, 0.5)), (1, (1.0, 1.0))])
+        tree = DPTree(sp)
+        for cid in (0, 1):
+            tree.insert_active(cid)
+        assert tree.insert_active(2) == []
+        assert tree.seed_dists[2][1] == tree.seed_dists[2][0] == tree.delta[2]
+        assert tree.parent[2] == 0
+        for e in (0, 1):
+            assert tree.seed_dists[e][2] == tree.seed_dists[2][e] == seed_distance(
+                sp.cell(2).seed, sp.cell(e).seed)
+        assert_equals_scratch(tree)
+
     def test_double_insert_rejected(self):
         sp = make_space([(5, (0.0, 0.0))])
         tree = DPTree.build(sp)

@@ -1,17 +1,22 @@
 """Engine orchestration: config parsing, lifecycle, sweep behavior."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from streampeaks.cells import StreamPoint
+from streampeaks.cells import CellSpace, StreamPoint
+from streampeaks.cli import main
 from streampeaks.deptree import DPTree
-from streampeaks.decay import active_threshold
+from streampeaks.decay import DecayParams, active_threshold
 from streampeaks.engine import CONFIG_KEYS, EngineConfig, StreamEngine
 from streampeaks.errors import (ConfigError, EngineStateError,
                                  StreamClusteringError)
 from streampeaks.evolution import EvolutionEvent
 from streampeaks.scenarios import builtin, generate
+from streampeaks.streams import write_stream
 
 from _oracles import same_clustering
 
@@ -154,6 +159,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="filters"):
             EngineConfig(r=1.0, filters="most")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["r", "tau0", "alpha", "a", "lambda",
+                                     "v", "beta"])
+    def test_non_finite_values_rejected(self, key, bad, tmp_path, capsys):
+        """NaN or an infinity in any float setting is refused by the
+        library (``ConfigError``; ``ValueError`` from ``DecayParams`` and
+        ``CellSpace``) and by ``init``, which exits 2."""
+        field = "lam" if key == "lambda" else key
+        with pytest.raises(ConfigError, match="finite"):
+            replace(TOY_CFG, **{field: float(bad)})
+        if field in ("a", "lam", "v", "beta"):
+            with pytest.raises(ValueError, match="finite"):
+                DecayParams(**{field: float(bad)})
+        if field == "r":
+            with pytest.raises(ValueError, match="finite"):
+                CellSpace(TOY_CFG.decay_params(), r=float(bad), dim=1)
+        mapping = {**TOY_CFG.to_mapping(), key: bad}
+        (tmp_path / "bad.conf").write_text(
+            "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        write_stream(tmp_path / "init.csv", TOY_INIT, labeled=False)
+        code = main(["init", str(tmp_path / "init.csv"),
+                     "--config", str(tmp_path / "bad.conf"),
+                     "--state", str(tmp_path / "state.json")])
+        assert code == 2
+        assert not (tmp_path / "state.json").exists()
+        assert "finite" in capsys.readouterr().err
+
 
 TOY_CFG = EngineConfig(r=1.0, a=0.8, lam=1.0, v=4.0, beta=0.12, tau0=12.0,
                        alpha=0.2, init_cell_count=3, sweep_interval=6)
@@ -209,14 +241,20 @@ class TestInitialize:
         assert eng.tree.parent == scratch.parent
         assert eng.tree.delta == scratch.delta
 
-    @pytest.mark.parametrize("failure", ["nan-mid-buffer", "too-few-cells"])
+    @pytest.mark.parametrize("failure", [
+        "nan-mid-buffer", "too-few-cells", "nan-first-point",
+        "nan-at-block-boundary", "nan-last-point"])
     def test_failed_buffer_leaves_nothing_behind(self, failure):
         """A rejected buffer leaves the engine as constructed, so a retry
-        with a good buffer matches a fresh engine."""
+        with a good buffer matches a fresh engine.  The prefix is
+        assigned in blocks, and its first block ends before point 64."""
         good = mix_prefix(500)
-        if failure == "nan-mid-buffer":
+        where = {"nan-mid-buffer": 300, "nan-first-point": 0,
+                 "nan-at-block-boundary": 64, "nan-last-point": 499}
+        if failure in where:
+            i = where[failure]
             bad = list(good)
-            bad[300] = StreamPoint((math.nan, good[300].coords[1]), good[300].t)
+            bad[i] = StreamPoint((math.nan, good[i].coords[1]), good[i].t)
         else:
             bad = good[:3]
         eng = StreamEngine(MIX_CFG, dim=2)
@@ -230,6 +268,26 @@ class TestInitialize:
         fresh.initialize(good)
         assert eng.tree.forest_state() == fresh.tree.forest_state()
         assert eng.counters() == fresh.counters()
+
+    def test_block_search_keeps_transient_memory_small(self):
+        """A 4,000-point 8-d prefix in which most points found cells:
+        the blocks are sized from the store, so what ``initialize``
+        allocates and frees again stays under 1 MB.  Blocks of a fixed
+        64 points would need a 16 MB temporary by the end."""
+        rng = np.random.default_rng(3)
+        far = rng.uniform(0.0, 100.0, size=(4000, 8))
+        far[::10] = rng.integers(0, 4, size=(400, 1)) * 50.0  # 4 dense cells
+        prefix = [StreamPoint.of(x, i * 1e-3) for i, x in enumerate(far)]
+        eng = StreamEngine(replace(MIX_CFG, r=1.0), dim=8)
+        tracemalloc.start()
+        try:
+            eng.initialize(prefix)
+            final, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(eng.space) > 3000
+        assert len(eng.tree) >= 2
+        assert peak - final < 1 << 20
 
     def test_prefix_cells_join_the_reservoir_in_touch_order(self):
         """The prefix founds cell 0 at t=0 and cell 1 at t=0.5, then
