@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -102,8 +102,7 @@ class ClusterCell:
     active: bool = False
 
 
-@dataclass(frozen=True)
-class AssignResult:
+class AssignResult(NamedTuple):
     """Outcome of one point assignment.
 
     ``created`` False means the point was absorbed by cell ``cell_id``
@@ -125,22 +124,25 @@ class CellSpace:
 
     Seeds are also kept column-major in ``_seeds`` (shape ``(dim,
     capacity)``) with the owning ids in ``_ids``: rows ``[0, len)`` are
-    live, ``row_of`` maps a cell id to its row, and removing a cell
-    moves the last row into the freed one.
+    live, ``row_of`` maps a cell id to its row.  Rows stay in id order:
+    a new cell's id is its ordinal, larger than every live id, and it
+    takes the next row; ``remove_cells`` closes the gaps it leaves
+    without reordering the rows behind them.
 
-    Every seed distance the store computes comes from one kernel,
-    ``block_distances``: ``assign_point`` scans with a block of one
-    point, ``assign_points`` with blocks of many, and ``seed_distances``
-    serves the dependency forest.  The kernel sums squares dimension by
-    dimension, so each distance has the bits of ``seed_distance``.
+    Every seed search goes through one kernel, ``block_distances``:
+    ``assign_point`` scans with a block of one point, ``assign_points``
+    with blocks of many, and ``seed_distances`` serves the dependency
+    forest.  The kernel sums squares dimension by dimension, so each
+    distance has the bits of ``seed_distance``.
     Never reduce with ``sum(axis=)``, ``einsum``, ``norm`` or
     ``np.add.reduce``: their summation order differs.
 
-    Exact ties go to the smallest id.  In a block, the seeds live before
-    the block resolve that rule per point; a cell founded inside the
-    block has id = its ordinal, larger than every earlier id, so an
-    earlier seed wins an exact tie, and a running in-block best that
-    moves only on a strictly smaller distance keeps the older founder.
+    Exact ties go to the smallest id.  Since the rows are in id order,
+    the first minimum ``argmin`` finds is that id.  In a block, a cell
+    founded inside the block has a larger id than every seed live
+    before it, so an earlier seed wins an exact tie, and a running
+    in-block best that moves only on a strictly smaller distance keeps
+    the older founder.
     """
 
     def __init__(self, params: DecayParams, r: float, dim: int):
@@ -199,12 +201,6 @@ class CellSpace:
                 f"point at t={t} after watermark t={watermark}")
         return t
 
-    def _nearest_in(self, scan: np.ndarray, best: float) -> int:
-        """Id of the seed at distance ``best`` in a scan over rows
-        ``[0, len(scan))``; exact ties go to the smallest id."""
-        rows = (scan == best).nonzero()[0]
-        return int(self._ids[rows].min() if len(rows) > 1 else self._ids[rows[0]])
-
     def _scan(self, coords: Coords) -> Optional[tuple[int, float]]:
         """Nearest seed by one kernel pass over the seed matrix; fills
         ``last_scan``."""
@@ -214,8 +210,8 @@ class CellSpace:
             return None
         scan = block_distances(np.array(coords)[:, None], self._seeds[:, :n])
         self.last_scan = scan
-        best = scan[scan.argmin()]
-        return self._nearest_in(scan, best), float(best)
+        row = scan.argmin()
+        return int(self._ids[row]), float(scan[row])
 
     def nearest_seed(self, p: StreamPoint) -> Optional[tuple[int, float]]:
         """Nearest seed over ALL cells, active and inactive."""
@@ -265,15 +261,11 @@ class CellSpace:
         coords = np.array([p.coords for p in block], dtype=float).T
         before = block_distances(coords[:, :, None], self._seeds[:, None, :n])
         if n:
-            # The nearest earlier seed of every point, with the tie rule
-            # run only on the rows that hold an exact tie.
+            # The nearest earlier seed of every point; the first minimum
+            # is the smallest id among exact ties.
             arg = before.argmin(axis=1)
-            best = before[np.arange(len(block)), arg]
+            best = before[np.arange(len(block)), arg].tolist()
             ids = self._ids[arg].tolist()
-            tied = ((before == best[:, None]).sum(axis=1) > 1).nonzero()[0]
-            for i in tied.tolist():
-                ids[i] = self._nearest_in(before[i], best[i])
-            best = best.tolist()
         else:
             ids, best = [None] * len(block), [math.inf] * len(block)
         # Only a point with no earlier seed within r can found a cell, so
@@ -313,11 +305,11 @@ class CellSpace:
             cell = self.cells[cid]
             cell.rho_last = absorb(self.params, cell.rho_last, cell.t_last, t)
             cell.t_last = t
-            return AssignResult(cid, dist, created=False, t=t)
+            return AssignResult(cid, dist, False, t)
         cell = ClusterCell(id=ordinal, seed=coords, rho_last=1.0, t_last=t)
         self._add_row(cell)
         return AssignResult(cell.id, found[1] if found is not None else math.inf,
-                            created=True, t=t)
+                            True, t)
 
     def seed_distances(self, cell_id: int, others: list[int]) -> list[float]:
         """Seed distances from one cell to each cell of ``others``, in
@@ -346,15 +338,32 @@ class CellSpace:
         cell = self.cell(cell_id)
         return decay_density(self.params, cell.rho_last, cell.t_last, t)
 
-    def remove_cell(self, cell_id: int) -> ClusterCell:
-        """Forget a recycled cell entirely; its seed leaves the search set."""
-        cell = self.cell(cell_id)
-        del self.cells[cell_id]
-        row = self.row_of.pop(cell_id)
-        last = len(self.cells)
-        if row != last:
-            moved = int(self._ids[last])
-            self._seeds[:, row] = self._seeds[:, last]
-            self._ids[row] = moved
-            self.row_of[moved] = row
-        return cell
+    def remove_cells(self, cell_ids: Sequence[int]) -> None:
+        """Forget recycled cells, given by distinct ids, entirely; their
+        seeds leave the search set.
+
+        Every id is checked before anything changes.  The live rows
+        between and behind the removed ones close up in order, one
+        slice copy per run of kept rows, so the rows stay in id order.
+        """
+        cells, row_of = self.cells, self.row_of
+        for cid in cell_ids:
+            if cid not in cells:
+                raise UnknownCell(cid)
+        if not cell_ids:
+            return
+        n = len(cells)
+        rows = sorted([row_of.pop(cid) for cid in cell_ids])
+        for cid in cell_ids:
+            del cells[cid]
+        first = end = rows[0]
+        rows.append(n)
+        seeds, ids = self._seeds, self._ids
+        for i in range(len(rows) - 1):
+            lo, hi = rows[i] + 1, rows[i + 1]
+            if lo < hi:
+                seeds[:, end:end + hi - lo] = seeds[:, lo:hi]
+                ids[end:end + hi - lo] = ids[lo:hi]
+                end += hi - lo
+        if end > first:
+            row_of.update(zip(ids[first:end].tolist(), range(first, end)))

@@ -79,7 +79,7 @@ def absorb(params: DecayParams, rho_last: float, t_last: float, t: float) -> flo
     Equivalent to recomputing the freshness sum over every absorbed
     point, because decay distributes over the sum.
     """
-    return decay_density(params, rho_last, t_last, t) + 1.0
+    return rho_last * decay_factor(params, t - t_last) + 1.0
 
 
 def total_freshness(params: DecayParams) -> float:

@@ -108,8 +108,8 @@ class OutlierReservoir:
             if t - touched <= self.horizon:
                 break
             doomed.append(c)
-        doomed.sort()
         for c in doomed:
             del self.last_touch[c]
-            self.space.remove_cell(c)
+        self.space.remove_cells(doomed)
+        doomed.sort()
         return doomed

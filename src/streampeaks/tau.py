@@ -19,6 +19,7 @@ bit for bit; ``select_tau`` states the bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -73,21 +74,31 @@ def _split(deltas: Sequence[float], tau: float) -> tuple[list[float], list[float
     return intra, inter
 
 
-def objective(alpha: float, tau: float, deltas: Iterable[float]) -> float:
-    """Score of cutting at tau: alpha weighs the (normalized) average
-    separation of cut links, (1-alpha) the reciprocal compactness of
-    kept links.  Lower is better.  Both partitions must be non-empty.
-    """
-    _check_alpha(alpha)
-    ds = _finite(deltas)
+def _terms(ds: Sequence[float], tau: float) -> tuple[float, float, float, float]:
+    """The four tau-dependent terms of ``objective`` over the finite
+    list ds: inter sum, inter count times mean, intra count times mean,
+    intra sum.  Both partitions must be non-empty."""
     intra, inter = _split(ds, tau)
     intra_sum = sum(intra)
     if not inter or not intra or intra_sum <= 0.0:
         raise UndefinedObjective(
             f"tau={tau} leaves {len(inter)} inter / {len(intra)} intra links")
     mean = sum(ds) / len(ds)
-    return (alpha * sum(inter) / (len(inter) * mean)
-            + (1.0 - alpha) * (len(intra) * mean) / intra_sum)
+    return sum(inter), len(inter) * mean, len(intra) * mean, intra_sum
+
+
+def _score(alpha: float, terms: tuple[float, float, float, float]) -> float:
+    inter_sum, inter_mass, intra_mass, intra_sum = terms
+    return alpha * inter_sum / inter_mass + (1.0 - alpha) * intra_mass / intra_sum
+
+
+def objective(alpha: float, tau: float, deltas: Iterable[float]) -> float:
+    """Score of cutting at tau: alpha weighs the (normalized) average
+    separation of cut links, (1-alpha) the reciprocal compactness of
+    kept links.  Lower is better.  Both partitions must be non-empty.
+    """
+    _check_alpha(alpha)
+    return _score(alpha, _terms(_finite(deltas), tau))
 
 
 def candidate_taus(deltas: Iterable[float]) -> list[float]:
@@ -180,6 +191,13 @@ def learn_alpha(deltas: Iterable[float], tau0: float) -> float:
     Feasibility is an interval (the objective is linear in alpha); the
     lower-median grid value is returned as the most drift-tolerant
     choice.
+
+    The scan is exhaustive, with ``objective``'s bits: tau0 against
+    every rival, in ascending order, at every grid alpha.  Each
+    partition's terms are computed once, on first use, so the scan
+    costs O(k·n + 99·k) for k rivals over n distances and raises
+    ``UndefinedObjective`` where calling ``objective`` at every step
+    would.
     """
     ds = _finite(deltas)
     intra0, inter0 = _split(ds, tau0)
@@ -187,14 +205,27 @@ def learn_alpha(deltas: Iterable[float], tau0: float) -> float:
         raise UndefinedObjective(
             f"initial tau={tau0} does not induce a valid partition")
     part0 = len(intra0)
+    srt = sorted(ds)
     rivals = [tau for tau in candidate_taus(ds)
-              if len(_split(ds, tau)[0]) != part0]
+              if bisect_right(srt, tau) != part0]
     if not rivals:
         raise NoConsistentAlpha(
             "only one candidate partition exists; nothing to learn from")
-    feasible = [alpha for alpha in ALPHA_GRID
-                if all(objective(alpha, tau0, ds) < objective(alpha, tau, ds)
-                       for tau in rivals)]
+    terms0 = _terms(ds, tau0)
+    # Every alpha scans the rivals in one order and stops at its first
+    # loss, so the rivals scored so far are always a prefix.
+    scored: list[tuple[float, float, float, float]] = []
+
+    def optimal(alpha: float) -> bool:
+        F0 = _score(alpha, terms0)
+        for i, tau in enumerate(rivals):
+            if i == len(scored):
+                scored.append(_terms(ds, tau))
+            if not F0 < _score(alpha, scored[i]):
+                return False
+        return True
+
+    feasible = [alpha for alpha in ALPHA_GRID if optimal(alpha)]
     if not feasible:
         raise NoConsistentAlpha(
             f"no grid alpha makes tau={tau0} optimal for these distances")

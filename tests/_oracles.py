@@ -23,6 +23,7 @@ from streampeaks.deptree import Cluster, ClusterSnapshot, DPTree
 from streampeaks.errors import StreamFormatError
 from streampeaks.evolution import EvolutionEvent
 from streampeaks.streams import open_text
+from streampeaks.tau import ALPHA_GRID, NoConsistentAlpha, UndefinedObjective
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,47 @@ def recompute_all(space: CellSpace, t: float
                 best, best_j = d, j
         out[cid] = (best_j, best)
     return out
+
+
+def reference_objective(alpha: float, tau: float, deltas) -> float:
+    """``tau.objective`` as first written: one O(n) pass per call."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (0, 1)")
+    ds = [d for d in deltas if math.isfinite(d)]
+    intra = [d for d in ds if d <= tau]
+    inter = [d for d in ds if d > tau]
+    intra_sum = sum(intra)
+    if not inter or not intra or intra_sum <= 0.0:
+        raise UndefinedObjective(
+            f"tau={tau} leaves {len(inter)} inter / {len(intra)} intra links")
+    mean = sum(ds) / len(ds)
+    return (alpha * sum(inter) / (len(inter) * mean)
+            + (1.0 - alpha) * (len(intra) * mean) / intra_sum)
+
+
+def reference_learn_alpha(deltas, tau0: float) -> float:
+    """``tau.learn_alpha`` as first written: ``reference_objective`` for
+    tau0 and for every rival partition at each grid alpha, O(99·k·n)."""
+    ds = [d for d in deltas if math.isfinite(d)]
+    intra0 = [d for d in ds if d <= tau0]
+    inter0 = [d for d in ds if d > tau0]
+    if not intra0 or not inter0:
+        raise UndefinedObjective(
+            f"initial tau={tau0} does not induce a valid partition")
+    part0 = len(intra0)
+    rivals = [tau for tau in sorted(set(ds))[:-1]
+              if len([d for d in ds if d <= tau]) != part0]
+    if not rivals:
+        raise NoConsistentAlpha(
+            "only one candidate partition exists; nothing to learn from")
+    feasible = [alpha for alpha in ALPHA_GRID
+                if all(reference_objective(alpha, tau0, ds)
+                       < reference_objective(alpha, tau, ds)
+                       for tau in rivals)]
+    if not feasible:
+        raise NoConsistentAlpha(
+            f"no grid alpha makes tau={tau0} optimal for these distances")
+    return feasible[(len(feasible) - 1) // 2]
 
 
 def density_filter_skips(rho_c_before: float, rho_c_after: float,

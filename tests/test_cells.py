@@ -196,18 +196,30 @@ R = 0.5
 
 @st.composite
 def seed_matrix_ops(draw):
-    """A dimension and a run of points and removals.  Coordinates are
-    multiples of r/2, so exact distance ties and seeds exactly at r are
-    common."""
+    """A dimension and a run of points, single removals and batch
+    removals.  A batch names live cells by their rank in id order, so a
+    drawn subset can hold any rows.  Coordinates are multiples of r/2,
+    so exact distance ties and seeds exactly at r are common."""
     dim = draw(st.sampled_from([1, 2, 8]))
     span = 12 if dim == 1 else 3
     point = st.tuples(*[st.integers(-span, span)] * dim).map(
         lambda ks: ("point", tuple(k * R / 2 for k in ks)))
     remove = st.tuples(st.just("remove"),
                        st.sampled_from(["first", "middle", "last"]))
-    ops = draw(st.lists(st.one_of(point, point, point, remove),
+    batch = st.tuples(st.just("batch"),
+                      st.lists(st.integers(0, 40), max_size=8))
+    ops = draw(st.lists(st.one_of(point, point, point, remove, batch),
                         min_size=1, max_size=60))
     return dim, ops
+
+
+def assert_rows_in_id_order(sp):
+    """Rows ``[0, len)`` hold the live ids in strictly increasing order,
+    and ``row_of`` maps each id to its row."""
+    ids = sp._ids[:len(sp)].tolist()
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert sorted(ids) == sorted(sp.cells)
+    assert sp.row_of == {cid: row for row, cid in enumerate(ids)}
 
 
 class TestSeedMatrix:
@@ -216,7 +228,9 @@ class TestSeedMatrix:
     def test_matches_brute_force(self, case):
         """nearest_seed and assign_point agree with a scalar minimum over
         ``space.cells``: same winner, equal distances, through removals
-        of the first, a middle and the last row and through growth."""
+        of the first, a middle and the last row, through batch removals
+        of drawn subsets and through growth.  The rows stay in id order
+        after every operation."""
         dim, ops = case
         sp = space(r=R, dim=dim)
         t = 0.0
@@ -227,8 +241,15 @@ class TestSeedMatrix:
                 by_row = {row: cid for cid, row in sp.row_of.items()}
                 n = len(by_row)
                 row = {"first": 0, "middle": n // 2, "last": n - 1}[arg]
-                sp.remove_cell(by_row[row])
-                assert sorted(sp.row_of.values()) == list(range(len(sp)))
+                sp.remove_cells([by_row[row]])
+                assert_rows_in_id_order(sp)
+                continue
+            if kind == "batch":
+                live = sorted(sp.cells)
+                doomed = {live[k] for k in arg if k < len(live)}
+                sp.remove_cells(sorted(doomed, reverse=True))
+                assert set(sp.cells) == set(live) - doomed
+                assert_rows_in_id_order(sp)
                 continue
             t += 0.5
             p = StreamPoint.of(arg, t)
@@ -248,14 +269,16 @@ class TestSeedMatrix:
             else:
                 assert (res.cell_id, res.created) == (ordinal, True)
                 assert sp.cell(ordinal).seed == p.coords
+            assert_rows_in_id_order(sp)
 
     def test_exact_tie_at_r_goes_to_smaller_id(self):
-        """Removing row 0 moves the newest cell into it, so the tied
-        smaller id sits in the later row."""
+        """After a middle row is removed, the two cells tied at exactly r
+        still take the smaller id: the rows behind the gap close up in
+        id order, and ``argmin`` finds the first minimum."""
         sp = space(r=R, dim=1)
-        far, right, left = plant(sp, (5.0,), (R,), (-R,))
-        sp.remove_cell(far)
-        assert sp.row_of == {left: 0, right: 1}
+        far, middle, right, left = plant(sp, (9.0,), (5.0,), (R,), (-R,))
+        sp.remove_cells([middle])
+        assert_rows_in_id_order(sp)
         res = sp.assign_point(StreamPoint.of((0.0,), 1.0))
         assert (res.cell_id, res.created, res.distance) == (right, False, R)
 
@@ -271,7 +294,7 @@ class TestSeedMatrix:
     def test_remove_only_row_then_refill(self):
         sp = space(r=R, dim=8)
         (only,) = plant(sp, (1.0,) * 8)
-        sp.remove_cell(only)
+        sp.remove_cells([only])
         assert len(sp) == 0 and sp.row_of == {}
         assert sp.nearest_seed(StreamPoint.of((1.0,) * 8, 1.0)) is None
         res = sp.assign_point(StreamPoint.of((1.0,) * 8, 1.0))
@@ -395,7 +418,7 @@ class TestAssignPoints:
     @settings(max_examples=60, deadline=None)
     def test_equals_assign_point_one_by_one(self, case):
         """Same results, cells, rows and ``last_scan`` as the per-point
-        loop, also when removals have put the rows out of id order."""
+        loop, also after removals have left gaps in the ids."""
         dim, primed, removals, run, budget = case
         spaces = []
         for _ in range(2):
@@ -406,8 +429,8 @@ class TestAssignPoints:
                 if sp.cells:
                     by_row = {row: cid for cid, row in sp.row_of.items()}
                     n = len(by_row)
-                    sp.remove_cell(by_row[{"first": 0, "middle": n // 2,
-                                           "last": n - 1}[where]])
+                    sp.remove_cells([by_row[{"first": 0, "middle": n // 2,
+                                             "last": n - 1}[where]]])
             spaces.append(sp)
         one_by_one, blocked = spaces
         want = [one_by_one.assign_point(p) for p in run]
@@ -460,4 +483,14 @@ class TestConfigSeams:
 
     def test_remove_unknown_cell(self):
         with pytest.raises(UnknownCell):
-            space().remove_cell(3)
+            space().remove_cells([3])
+
+    def test_batch_with_an_unknown_id_removes_nothing(self):
+        sp = space(r=R, dim=2)
+        ids = plant(sp, (0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+        before = space_state(sp)
+        with pytest.raises(UnknownCell):
+            sp.remove_cells([ids[0], 99, ids[2]])
+        assert space_state(sp) == before
+        sp.remove_cells([])
+        assert space_state(sp) == before

@@ -1,11 +1,13 @@
 """Threshold objective, preference learning, re-selection, decision graph."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import streampeaks.tau as tau_module
 from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.decay import DecayParams
 from streampeaks.deptree import DPTree
@@ -20,6 +22,8 @@ from streampeaks.tau import (
     objective,
     select_tau,
 )
+
+from _oracles import reference_learn_alpha, reference_objective
 
 DELTAS = [0.5, 0.6, 4.0]
 EXACT = settings(max_examples=150, deadline=None, derandomize=True,
@@ -293,6 +297,99 @@ class TestScreenIsExact:
         deltas = [0.1 * k for k in range(1, 91)] + [30.0]
         assert select_tau(0.05, deltas) == scan_select_tau(0.05, deltas)
         assert 1 <= len(calls) < 5
+
+
+def outcome_with_message(fn, *args):
+    """The returned value, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (UndefinedObjective, NoConsistentAlpha, ValueError,
+            ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def bimodal(rng):
+    """Tight short links and a few long ones, as arbitrary floats; the
+    largest short link cuts between the modes."""
+    short = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(2, 30))]
+    long = [rng.uniform(3.0, 12.0) for _ in range(rng.randint(1, 6))]
+    return short + long, max(short)
+
+
+@st.composite
+def alpha_cases(draw):
+    """Distances and a tau0.  The distances sit on a lattice of tenths
+    (exact ties, zeros, the root's infinite sentinel) or are bimodal, so
+    that many cases learn an alpha.  tau0 is one of the distances, one
+    nudged either way, or a point in between."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        ds = draw(tenths(40))
+        gap = draw(st.floats(0.0, 6.5))
+    else:
+        ds, gap = bimodal(rng)
+        ds += [0.0] * draw(st.sampled_from([0, 0, 0, 1]))
+        if draw(st.booleans()):
+            ds.append(math.inf)
+        rng.shuffle(ds)
+    values = sorted({d for d in ds if math.isfinite(d)})
+    v = values[draw(st.integers(0, len(values) - 1))]
+    tau0 = draw(st.sampled_from([v, v + 0.05, v - 0.05, gap]))
+    return ds, tau0
+
+
+class TestLearnAlphaReference:
+    """``learn_alpha`` and ``objective`` against their first, exhaustive
+    versions in ``_oracles``: the same alpha and the same bits, or the
+    same error with the same message."""
+
+    @given(case=alpha_cases(), alphas=st.lists(
+        st.sampled_from(ALPHA_GRID), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 10**6), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference(self, case, alphas, picks):
+        ds, tau0 = case
+        got = outcome_with_message(learn_alpha, ds, tau0)
+        assert got == outcome_with_message(reference_learn_alpha, ds, tau0)
+        event("learned" if isinstance(got, float) else got[0].__name__)
+        cands = candidate_taus(ds)
+        taus = [tau0] + [cands[k % len(cands)] for k in picks if cands]
+        for alpha in alphas:
+            for tau in taus:
+                assert outcome_with_message(objective, alpha, tau, ds) == \
+                    outcome_with_message(reference_objective, alpha, tau, ds)
+
+    def test_bimodal_cases_learn_the_reference_alpha(self):
+        learned = 0
+        for seed in range(300):
+            ds, tau0 = bimodal(random.Random(seed))
+            got = outcome_with_message(learn_alpha, ds, tau0)
+            assert got == outcome_with_message(reference_learn_alpha, ds, tau0)
+            learned += isinstance(got, float)
+        assert learned >= 50
+
+    def test_empty_and_infinite_lists_leave_the_objective_undefined(self):
+        for ds in ([], [math.inf, math.inf]):
+            with pytest.raises(UndefinedObjective):
+                objective(0.5, 1.0, ds)
+
+    def test_each_partition_is_scored_once(self, monkeypatch):
+        """On 400 distances the terms are computed at most once per
+        distinct candidate.  The 99 alphas scan tau0 and 380 rivals, which
+        the reference scores with 15,780 ``objective`` calls."""
+        rng = random.Random(3)
+        ds = [rng.uniform(0.05, 1.0) for _ in range(380)]
+        ds += [rng.uniform(3.0, 12.0) for _ in range(20)]
+        tau0 = max(ds[:380])
+        calls = []
+        terms = tau_module._terms
+        monkeypatch.setattr(tau_module, "_terms",
+                            lambda ds, tau: calls.append(tau) or terms(ds, tau))
+        got = outcome_with_message(learn_alpha, ds, tau0)
+        assert got == outcome_with_message(reference_learn_alpha, ds, tau0)
+        assert got[0] is NoConsistentAlpha
+        assert len(calls) == len(set(calls)) == 381
+        assert set(calls) <= set(candidate_taus(ds))
 
 
 class TestTauState:
