@@ -12,8 +12,9 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from streampeaks.cells import StreamPoint
 from streampeaks.deptree import Cluster, ClusterSnapshot
@@ -25,10 +26,11 @@ from streampeaks.errors import (
     StreamFormatError,
 )
 from streampeaks.reference import LabeledAssignment, weighted_purity
-from streampeaks.scenarios import builtin, builtin_names, generate
+from streampeaks.scenarios import builtin, builtin_names, draw_stream
 from streampeaks.streams import (
     SnapshotRow,
     list_snapshots,
+    open_stream,
     read_snapshot,
     read_stream,
     write_counters,
@@ -46,7 +48,7 @@ EXIT_LABELS = 4
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    points = generate(builtin(args.scenario), args.seed)
+    points = draw_stream(builtin(args.scenario), args.seed)
     write_stream(args.out, points, labeled=True)
     return EXIT_OK
 
@@ -79,10 +81,12 @@ def _cmd_init(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resume(state_path: str, points: Sequence[StreamPoint]
-            ) -> tuple[StreamEngine, Sequence[StreamPoint]]:
+def _resume(state_path: str, points: Iterable[StreamPoint]
+            ) -> tuple[StreamEngine, Iterator[StreamPoint]]:
     """Rebuild the engine recorded in the state file by replaying the
-    consumed prefix; runs are deterministic, so the result is exact."""
+    consumed prefix; runs are deterministic, so the result is exact.
+    Takes exactly the prefix from ``points`` and returns the engine with
+    the points after it, not yet read."""
     try:
         state = json.loads(Path(state_path).read_text())
         if not isinstance(state, dict):
@@ -97,28 +101,32 @@ def _resume(state_path: str, points: Sequence[StreamPoint]
         config = replace(config, alpha=float(alpha))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"unusable state file {state_path}: {exc}") from None
-    if len(points) < consumed:
+    rest = iter(points)
+    prefix = list(islice(rest, consumed))
+    if len(prefix) < consumed:
         raise ConfigError(f"state consumed {consumed} rows but the input "
-                          f"has only {len(points)}")
-    if points and len(points[0].coords) != dim:
-        raise ConfigError(f"input has {len(points[0].coords)} coordinates, "
+                          f"has only {len(prefix)}")
+    if len(prefix[0].coords) != dim:
+        raise ConfigError(f"input has {len(prefix[0].coords)} coordinates, "
                           f"state expects {dim}")
     engine = StreamEngine(config, dim=dim)
-    engine.initialize(points[:consumed])
-    return engine, points[consumed:]
+    engine.initialize(prefix)
+    return engine, rest
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    points, _ = read_stream(args.input)
-    engine, rest = _resume(args.state, points)
-    snapshots_written = 0
-    for p in rest:
-        engine.process_point(p)
-        if engine.sweep_count > snapshots_written:
-            snapshots_written = engine.sweep_count
-            if args.snapshots:
-                write_snapshot(args.snapshots, snapshots_written, engine.now,
-                               engine.snapshot_rows())
+    """Resume from the state file, then cluster each later row as soon
+    as it is parsed: memory holds the engine's state, not the stream."""
+    with open_stream(args.input) as (_, points):
+        engine, rest = _resume(args.state, points)
+        snapshots_written = 0
+        for p in rest:
+            engine.process_point(p)
+            if engine.sweep_count > snapshots_written:
+                snapshots_written = engine.sweep_count
+                if args.snapshots:
+                    write_snapshot(args.snapshots, snapshots_written,
+                                   engine.now, engine.snapshot_rows())
     if args.events:
         write_events(args.events, engine.log)
     if args.counters:

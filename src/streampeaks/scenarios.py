@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -113,16 +113,23 @@ class PlantedScenario:
         return [s for s in self.sources if s.birth <= t < s.death]
 
 
-def generate(scenario: PlantedScenario, seed: int) -> list[StreamPoint]:
-    """Emit the scenario's full point stream, labeled by source name.
+def draw_stream(scenario: PlantedScenario,
+                seed: int) -> Iterator[StreamPoint]:
+    """The scenario's point stream, labeled by source name, drawn one
+    point per step.
 
     Deterministic in (scenario, seed): every point costs one uniform
-    draw to pick its source plus one fixed-size coordinate draw.
+    draw to pick its source plus one fixed-size coordinate draw.  A
+    negative seed raises ``ConfigError`` here, before any draw.
     """
-    rng = np.random.default_rng(seed)
-    n = round(scenario.rate * scenario.duration)
-    points: list[StreamPoint] = []
-    for i in range(n):
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return _draws(scenario, np.random.default_rng(seed))
+
+
+def _draws(scenario: PlantedScenario,
+           rng: np.random.Generator) -> Iterator[StreamPoint]:
+    for i in range(round(scenario.rate * scenario.duration)):
         t = i / scenario.rate
         live = scenario.live_at(t)
         shares = [s.share_at(t) for s in live]
@@ -138,8 +145,12 @@ def generate(scenario: PlantedScenario, seed: int) -> list[StreamPoint]:
             if u < acc:
                 chosen = s
                 break
-        points.append(StreamPoint(chosen.sample(t, rng), t, chosen.name))
-    return points
+        yield StreamPoint(chosen.sample(t, rng), t, chosen.name)
+
+
+def generate(scenario: PlantedScenario, seed: int) -> list[StreamPoint]:
+    """The whole of ``draw_stream(scenario, seed)`` as a list."""
+    return list(draw_stream(scenario, seed))
 
 
 def _sds() -> PlantedScenario:

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -59,53 +60,71 @@ def stream_header(dim: int, labeled: bool) -> list[str]:
     return cols
 
 
-def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
-    """Parse a point file; returns the points and whether labels exist.
+@contextmanager
+def open_stream(path: PathLike
+                ) -> Iterator[tuple[bool, Iterator[StreamPoint]]]:
+    """A point file opened for lazy parsing: whether it carries labels,
+    and an iterator that reads, validates and returns one row per step.
 
-    Errors carry the 1-based line number of the offending row.
+    Errors carry the 1-based line number of the offending row.  Consume
+    the points inside the ``with`` block: leaving it closes the file,
+    and a byte met there that is not UTF-8 is reported with its line.
     """
-    path = Path(path)
     with open_text(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise StreamFormatError("line 1: empty file, expected a header")
-    header = rows[0]
-    labeled = bool(header) and header[-1] == "label"
-    dim = len(header) - 1 - (1 if labeled else 0)
-    if dim < 1 or header != stream_header(dim, labeled):
-        raise StreamFormatError(
-            f"line 1: bad header {','.join(header)!r}, "
-            "expected t,x1,...,xd[,label]")
-    points: list[StreamPoint] = []
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise StreamFormatError("line 1: empty file, expected a header")
+        labeled = bool(header) and header[-1] == "label"
+        dim = len(header) - 1 - (1 if labeled else 0)
+        if dim < 1 or header != stream_header(dim, labeled):
+            raise StreamFormatError(
+                f"line 1: bad header {','.join(header)!r}, "
+                "expected t,x1,...,xd[,label]")
+        yield labeled, _parse_rows(rows, dim, labeled)
+
+
+def _parse_rows(rows: Iterator[list[str]], dim: int,
+                labeled: bool) -> Iterator[StreamPoint]:
+    isfinite = math.isfinite
+    width = dim + (2 if labeled else 1)
     last_t = -math.inf
-    width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
             raise StreamFormatError(
                 f"line {lineno}: expected {width} fields, got {len(row)}")
         try:
             t = float(row[0])
-            coords = tuple(float(v) for v in row[1:dim + 1])
+            coords = tuple(map(float, row[1:dim + 1]))
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: {exc}") from None
-        if not math.isfinite(t) or not all(math.isfinite(c) for c in coords):
+        if not (isfinite(t) and all(map(isfinite, coords))):
             raise StreamFormatError(f"line {lineno}: non-finite value")
         if t < last_t:
             raise StreamFormatError(
                 f"line {lineno}: time {t} goes backwards (after {last_t})")
         last_t = t
-        points.append(StreamPoint(coords, t, row[dim + 1] if labeled else None))
-    return points, labeled
+        yield StreamPoint(coords, t, row[dim + 1] if labeled else None)
+
+
+def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
+    """Parse a whole point file; returns the points and whether labels
+    exist.  Errors are those of ``open_stream``."""
+    with open_stream(path) as (labeled, points):
+        return list(points), labeled
 
 
 def write_stream(path: PathLike, points: Iterable[StreamPoint],
                  labeled: bool) -> None:
-    points = list(points)
-    dim = len(points[0].coords) if points else 1
+    """Write points as they arrive; the first one sets the dimension.
+    It is drawn before the file is opened."""
+    points = iter(points)
+    first = next(points, None)
+    dim = len(first.coords) if first is not None else 1
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(stream_header(dim, labeled))
-        for p in points:
+        for p in () if first is None else chain((first,), points):
             row = [_fmt(p.t)] + [_fmt(c) for c in p.coords]
             if labeled:
                 row.append(p.label if p.label is not None else "")

@@ -3,14 +3,22 @@ name from outside the package.  These checks make a rename or a changed
 contract fail here rather than when the benchmark runs."""
 
 import importlib.util
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+
+import streampeaks.cli as cli
 import streampeaks.engine as engine_module
+import streampeaks.streams as streams_module
 import streampeaks.tau as tau_module
 from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.decay import DecayParams
 from streampeaks.engine import EngineConfig, StreamEngine
+from streampeaks.errors import StreamClusteringError
 from streampeaks.scenarios import builtin, generate
+from streampeaks.streams import open_stream, write_stream
 from streampeaks.tau import candidate_taus
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -97,3 +105,121 @@ def test_every_sweep_with_a_candidate_calls_the_objective(monkeypatch):
         eng.process_point(p)
     assert len(sweeps) == 10 and all(has for has, _ in sweeps)
     assert all(n >= 1 for _, n in sweeps)
+
+
+# The CLI workload times ``run`` by swapping ``cli._resume`` for a
+# wrapper that replaces the returned engine's ``process_point``.
+
+RUN_CONFIG = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0, beta=0.0021,
+                          tau0=5.0, alpha=0.05, sweep_interval=100)
+
+
+@pytest.fixture()
+def cli_run(tmp_path):
+    """A 900-point mix stream and the state of its 500-point prefix."""
+    stream = generate(builtin("mix"), seed=5)[:900]
+    ns = SimpleNamespace(stream=tmp_path / "stream.csv",
+                         init=tmp_path / "init.csv",
+                         config=tmp_path / "run.conf",
+                         state=tmp_path / "state.json", consumed=500,
+                         total=len(stream))
+    write_stream(ns.stream, stream, labeled=True)
+    write_stream(ns.init, stream[:ns.consumed], labeled=True)
+    ns.config.write_text("".join(
+        f"{k} = {v}\n" for k, v in RUN_CONFIG.to_mapping().items()))
+    assert cli.main(["init", str(ns.init), "--config", str(ns.config),
+                     "--state", str(ns.state)]) == 0
+    return ns
+
+
+def test_run_looks_up_resume_at_call_time(cli_run, monkeypatch):
+    calls = []
+    resume = cli._resume
+    monkeypatch.setattr(cli, "_resume",
+                        lambda *args: calls.append(args) or resume(*args))
+    assert cli.main(["run", str(cli_run.stream),
+                     "--state", str(cli_run.state)]) == 0
+    assert len(calls) == 1
+
+
+def test_resume_takes_exactly_the_prefix(cli_run):
+    taken = []
+    with open_stream(cli_run.stream) as (_, points):
+        engine, rest = cli._resume(
+            str(cli_run.state), (taken.append(p) or p for p in points))
+        assert len(taken) == cli_run.consumed
+        assert engine.counters()["points"] == cli_run.consumed
+        after = next(rest)
+    assert after == generate(builtin("mix"), seed=5)[cli_run.consumed]
+
+
+def test_each_later_point_is_processed_one_row_behind_the_reader(
+        cli_run, monkeypatch):
+    read, seen = [0], []
+    open_real, resume = cli.open_stream, cli._resume
+
+    @contextmanager
+    def counted_open(path):
+        def counted(points):
+            for p in points:
+                read[0] += 1
+                yield p
+        with open_real(path) as (labeled, points):
+            yield labeled, counted(points)
+
+    def timed_resume(*args):
+        engine, rest = resume(*args)
+        process = engine.process_point
+
+        def recorded(p):
+            seen.append(read[0])
+            return process(p)
+
+        engine.process_point = recorded
+        return engine, rest
+
+    monkeypatch.setattr(cli, "open_stream", counted_open)
+    monkeypatch.setattr(cli, "_resume", timed_resume)
+    assert cli.main(["run", str(cli_run.stream),
+                     "--state", str(cli_run.state)]) == 0
+    # The k-th later point reaches process_point when the reader has
+    # returned the prefix and exactly k rows after it.
+    later = cli_run.total - cli_run.consumed
+    assert seen == [cli_run.consumed + k for k in range(1, later + 1)]
+
+
+def spoil_row(path: Path, index: int) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = "x" + lines[index]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("fault, code", [
+    (None, 0),
+    ("late-row", 3),
+    ("short-stream", 2),
+    ("engine", 2),
+])
+def test_input_file_is_closed_when_run_returns(cli_run, monkeypatch, fault,
+                                               code):
+    handles = []
+    open_real = streams_module.open_text
+
+    @contextmanager
+    def recorded_open(*args, **kw):
+        with open_real(*args, **kw) as fh:
+            handles.append(fh)
+            yield fh
+
+    monkeypatch.setattr(streams_module, "open_text", recorded_open)
+    if fault == "late-row":
+        spoil_row(cli_run.stream, 700)
+    elif fault == "short-stream":
+        cli_run.stream.write_text("t,x1,x2,label\n")
+    elif fault == "engine":
+        def refuse(self, p):
+            raise StreamClusteringError("refused")
+        monkeypatch.setattr(StreamEngine, "process_point", refuse)
+    assert cli.main(["run", str(cli_run.stream),
+                     "--state", str(cli_run.state)]) == code
+    assert len(handles) == 1 and handles[0].closed

@@ -3,17 +3,20 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import streampeaks.cli as cli
 from streampeaks.cells import CellSpace, StreamPoint
 from streampeaks.cli import main
 from streampeaks.engine import EngineConfig, StreamEngine
 from streampeaks.errors import MissingLabels
 from streampeaks.reference import LabeledAssignment, weighted_purity
+from streampeaks.scenarios import builtin
 from streampeaks.streams import (
     list_snapshots,
     read_counters,
@@ -190,6 +193,17 @@ class TestGen:
         assert labeled
         assert len(points) == 5000
         assert len(points[0].coords) == 8
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", "gen", "--scenario", "sds",
+             "--seed", "-1", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_unknown_scenario_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -430,6 +444,125 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["init", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def mix_state(tmp_path_factory):
+    """A 10 s mix stream and the state of its 500-row prefix."""
+    root = tmp_path_factory.mktemp("mix")
+    ns = SimpleNamespace(stream=root / "stream.csv", init=root / "init.csv",
+                         config=root / "run.conf", state=root / "state.json")
+    ns.config.write_text(MIX_CONFIG)
+    assert main(["gen", "--scenario", "mix", "--seed", "5",
+                 "--out", str(ns.stream)]) == 0
+    prefix_file(ns.stream, ns.init, 500)
+    assert main(["init", str(ns.init), "--config", str(ns.config),
+                 "--state", str(ns.state)]) == 0
+    return ns
+
+
+def snapshot_bytes(snapshots: Path) -> list[tuple[str, bytes]]:
+    return [(p.name, p.read_bytes()) for p in list_snapshots(snapshots)]
+
+
+class TestMidStreamFailure:
+    """``run`` parses as it goes, so a bad row after the prefix stops it
+    after the sweeps of the rows before it."""
+
+    LINE = 2000
+
+    def run_with_bad_line(self, mix_state, tmp_path, spoil):
+        lines = mix_state.stream.read_bytes().splitlines(keepends=True)
+        before, line, after = (lines[:self.LINE - 1], lines[self.LINE - 1],
+                               lines[self.LINE:])
+        assert sum(map(len, before)) > 8192
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(before + [spoil(line)] + after))
+        good = tmp_path / "good.csv"
+        good.write_bytes(b"".join(before))
+        assert main(["run", str(good), "--state", str(mix_state.state),
+                     "--snapshots", str(tmp_path / "good_snaps")]) == 0
+        out = SimpleNamespace(events=tmp_path / "events.jsonl",
+                              counters=tmp_path / "counters.csv",
+                              snapshots=tmp_path / "snaps")
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", "run", str(bad),
+             "--state", str(mix_state.state), "--events", str(out.events),
+             "--snapshots", str(out.snapshots),
+             "--counters", str(out.counters)],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert not out.events.exists() and not out.counters.exists()
+        return proc.stderr, snapshot_bytes(out.snapshots), \
+            snapshot_bytes(tmp_path / "good_snaps")
+
+    def test_malformed_row_keeps_every_earlier_sweep(self, mix_state,
+                                                     tmp_path):
+        err, written, expected = self.run_with_bad_line(
+            mix_state, tmp_path, lambda line: line.replace(b",", b",oops", 1))
+        assert f"line {self.LINE}:" in err
+        assert len(expected) > 10
+        assert written == expected
+
+    def test_non_utf8_byte_keeps_the_sweeps_before_its_chunk(self, mix_state,
+                                                             tmp_path):
+        """Text is decoded 8 KB ahead of the parser, so the sweeps of the
+        rows that share the bad byte's chunk may be missing."""
+        err, written, expected = self.run_with_bad_line(
+            mix_state, tmp_path, lambda line: b"\xff" + line)
+        assert f"bad.csv: line {self.LINE}: not UTF-8 text" in err
+        assert len(written) > 10
+        assert written == expected[:len(written)]
+
+
+def traced_peak_mb(argv: list[str]) -> float:
+    """The tracemalloc peak of ``main(argv)``, in MB."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryIsBoundedByState:
+    """``gen`` and ``run`` hold the engine's state, not the stream."""
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory, mix_state):
+        """Mix streams of 2 s and 20 s; both start with the prefix that
+        ``mix_state`` consumed, and ``gen`` of the longer one is traced."""
+        root = tmp_path_factory.mktemp("long")
+        paths, gen_peaks = {}, {}
+        with pytest.MonkeyPatch.context() as mp:
+            for seconds in (2.0, 20.0):
+                mp.setattr(cli, "builtin", lambda name, d=seconds:
+                           replace(builtin(name), duration=d))
+                paths[seconds] = root / f"mix{int(seconds)}.csv"
+                gen_peaks[seconds] = traced_peak_mb(
+                    ["gen", "--scenario", "mix", "--seed", "5",
+                     "--out", str(paths[seconds])])
+        head = mix_state.init.read_bytes()
+        assert all(p.read_bytes().startswith(head) for p in paths.values())
+        return paths, gen_peaks
+
+    def test_gen(self, streams):
+        _, gen_peaks = streams
+        assert gen_peaks[20.0] < 1.0
+
+    def test_run(self, streams, mix_state, tmp_path):
+        paths, _ = streams
+        peaks = {}
+        for seconds, path in paths.items():
+            out = tmp_path / str(int(seconds))
+            peaks[seconds] = traced_peak_mb(
+                ["run", str(path), "--state", str(mix_state.state),
+                 "--events", str(out / "events.jsonl"),
+                 "--snapshots", str(out / "snaps"),
+                 "--counters", str(out / "counters.csv")])
+        assert peaks[20.0] < 1.0
+        assert peaks[20.0] - peaks[2.0] < 0.5
 
 
 class TestEvalScores:

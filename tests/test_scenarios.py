@@ -12,6 +12,7 @@ from streampeaks.scenarios import (
     UniformSource,
     builtin,
     builtin_names,
+    draw_stream,
     generate,
 )
 
@@ -64,6 +65,12 @@ class TestGenerate:
                              sources=(still_source(share=0.7),))
         with pytest.raises(ConfigError, match="sum"):
             generate(sc, seed=0)
+
+    def test_negative_seed_is_a_config_error_before_any_draw(self):
+        with pytest.raises(ConfigError, match="seed"):
+            draw_stream(builtin("sds"), -1)
+        with pytest.raises(ConfigError, match="seed"):
+            generate(builtin("sds"), -1)
 
     def test_uniform_source_stays_in_box(self):
         noise = UniformSource("n", low=(-1.0, 2.0), high=(1.0, 3.0),

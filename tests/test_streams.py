@@ -10,6 +10,7 @@ from streampeaks.errors import StreamFormatError
 from streampeaks.evolution import EvolutionEvent
 from streampeaks.streams import (
     list_snapshots,
+    open_stream,
     read_counters,
     read_snapshot,
     read_stream,
@@ -107,6 +108,23 @@ class TestStreamErrors:
         path = self.write(tmp_path, "t,x1\n0,1\n2,1\n1,1\n")
         with pytest.raises(StreamFormatError, match="line 4.*backwards"):
             read_stream(path)
+
+
+class TestLazyStream:
+    def test_rows_are_parsed_one_at_a_time(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x1,label\n0,1,a\n1,oops,b\n")
+        with open_stream(path) as (labeled, points):
+            assert labeled
+            assert next(points) == StreamPoint((1.0,), 0.0, "a")
+            with pytest.raises(StreamFormatError, match="line 3"):
+                next(points)
+
+    def test_empty_generator_writes_a_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_stream(path, iter(()), labeled=True)
+        assert path.read_text() == "t,x1,label\n"
+        assert read_stream(path) == ([], True)
 
 
 class TestSnapshots:

@@ -161,12 +161,12 @@ class TestLearnAlpha:
 
 
 def scan_select_tau(alpha, deltas, *, previous=None):
-    """The exhaustive scan ``select_tau`` must reproduce: ``objective``
-    at every candidate, strict ``<``, ties to the smaller tau."""
+    """The exhaustive scan ``select_tau`` must reproduce: the reference
+    objective at every candidate, strict ``<``, ties to the smaller tau."""
     ds = [d for d in deltas if math.isfinite(d)]
     best_tau, best_F = None, math.inf
     for tau in candidate_taus(ds):
-        F = objective(alpha, tau, ds)
+        F = reference_objective(alpha, tau, ds)
         if F < best_F:
             best_tau, best_F = tau, F
     if best_tau is None:
@@ -177,8 +177,8 @@ def scan_select_tau(alpha, deltas, *, previous=None):
 
 
 def scan_learn_alpha(deltas, tau0):
-    """The exhaustive ``learn_alpha``: ``objective`` for tau0 against
-    every rival partition, at every grid alpha."""
+    """The exhaustive ``learn_alpha``: the reference objective for tau0
+    against every rival partition, at every grid alpha."""
     ds = [d for d in deltas if math.isfinite(d)]
     part0 = sum(1 for d in ds if d <= tau0)
     if part0 == 0 or part0 == len(ds):
@@ -188,7 +188,8 @@ def scan_learn_alpha(deltas, tau0):
     if not rivals:
         raise NoConsistentAlpha("one partition")
     feasible = [alpha for alpha in ALPHA_GRID
-                if all(objective(alpha, tau0, ds) < objective(alpha, tau, ds)
+                if all(reference_objective(alpha, tau0, ds)
+                       < reference_objective(alpha, tau, ds)
                        for tau in rivals)]
     if not feasible:
         raise NoConsistentAlpha("no feasible alpha")
@@ -256,6 +257,9 @@ class TestScreenIsExact:
         ([0.1, 0.1, 0.2, 0.5, 0.6], 0.75, 0.1),
         # objective puts 0.4 an ulp below 0.3; summed in sorted order they tie
         ([0.8, 0.4, 0.3, 0.1], 0.5, 0.4),
+        # objective ties 0.5 and 0.6 only when it scales by (1 - alpha)
+        # before dividing by the intra sum
+        ([0.1, 1.0, 0.2, 0.3, 0.6, 0.5, 0.1], 0.4, 0.5),
     ])
     def test_last_bits_follow_objective_in_input_order(self, deltas, alpha,
                                                        tau):
