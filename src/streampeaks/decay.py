@@ -121,3 +121,25 @@ def density_order_key(params: DecayParams, rho_last: float, t_last: float) -> fl
     if rho_last <= 0.0:
         raise ValueError("density order key requires a positive density")
     return math.log(rho_last) + params.lam * abs(math.log(params.a)) * t_last
+
+
+def fade_line(params: DecayParams, t: float) -> float:
+    """Order key above which no cell's density at ``t`` tests below the
+    activation threshold.
+
+    A density falls below the threshold exactly when its
+    ``density_order_key`` lies below ``ln(threshold) + lam*|ln a|*t``.
+    The key, this line and the density test each round: by under 8
+    ulps of the largest term they add (``ln(rho)`` or ``lam*|ln a|*t``),
+    and the test's decay factor by about ``(lam*|ln a|*dt + 3)`` ulps.
+    The line returned sits above the exact one by a guard band of
+    ``2**-40`` times (64 + |ln threshold| + 2·|lam*|ln a|*t|), over a
+    thousand times those errors while ``ln(rho) < 64``.  A factor under
+    ``FRESHNESS_FLOOR`` reads as zero; a cell keyed above the line with
+    such a factor would need a density past 1e12 times the threshold,
+    over 1e12 absorbed points.
+    """
+    log_threshold = math.log(active_threshold(params))
+    slope_t = params.lam * abs(math.log(params.a)) * t
+    guard = 2.0**-40 * (64.0 + abs(log_threshold) + 2.0 * abs(slope_t))
+    return log_threshold + slope_t + guard

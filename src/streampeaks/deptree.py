@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from streampeaks.cells import CellSpace, seed_distance
 from streampeaks.decay import density_order_key
@@ -132,6 +132,11 @@ class DPTree:
 
     def nodes(self) -> list[int]:
         return list(self.parent)
+
+    def sparsest_first(self) -> Iterator[tuple[float, int]]:
+        """(order key, id) of every tree cell, sparsest first.  Read it
+        to the end or drop it before changing the tree."""
+        return ((-neg_key, c) for neg_key, c in reversed(self._order))
 
     def forest_state(self) -> dict[int, tuple[Optional[int], float]]:
         """Immutable view used for exact equality comparisons."""

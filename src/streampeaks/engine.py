@@ -6,7 +6,9 @@ reservoir, threshold state, event log) and mutates them from a single
 ingest loop.  Dependencies update on every absorbed point; threshold
 re-selection, decay sweeps, recycling and snapshot diffing run once
 every ``sweep_interval`` points, so all evolution events carry sweep
-timestamps.
+timestamps.  A quiet sweep, one after which no cell has joined, left or
+relinked in the forest since the last re-selection, keeps tau and the
+clusters as they were: nothing they depend on has changed.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ class StreamEngine:
         self._since_sweep = 0
         self._counts = {"new_cells": 0, "relinks": 0, "activations": 0,
                         "deactivations": 0, "recycled_cells": 0, "sweeps": 0}
+        # (relinks, activations, deactivations) at the last re-selection.
+        self._selected_at: Optional[tuple[int, int, int]] = None
 
     @property
     def initialized(self) -> bool:
@@ -265,22 +269,32 @@ class StreamEngine:
         return []
 
     def _sweep(self, t: float) -> list[EvolutionEvent]:
-        self._counts["sweeps"] += 1
+        counts = self._counts
+        counts["sweeps"] += 1
         self._since_sweep = 0
         moved = self.reservoir.deactivate_sweep(t)
-        self._counts["deactivations"] += sum(len(s) for s in moved)
+        counts["deactivations"] += sum(len(s) for s in moved)
         if self.config.recycle:
-            self._counts["recycled_cells"] += len(self.reservoir.recycle(t))
-        st = self.tau_state
+            counts["recycled_cells"] += len(self.reservoir.recycle(t))
+        outliers = tuple(self.reservoir.ids())
+        stamp = (counts["relinks"], counts["activations"], counts["deactivations"])
+        st, last = self.tau_state, self.last_snapshot
+        if stamp == self._selected_at:
+            # No cell joined, left or relinked in the forest since the
+            # last re-selection, so its deltas, their order, tau and the
+            # clusters are what that sweep found.
+            self.last_snapshot = ClusterSnapshot(t, st.tau, last.clusters,
+                                                 outliers)
+            return []
         deltas = list(self.tree.delta.values())
         tau = select_tau(st.alpha, deltas, previous=st.tau)
         self.tau_state = TauState(st.alpha, tau, tuple(candidate_taus(deltas)))
-        snap = self.tree.extract_clusters(tau, t,
-                                          outliers=tuple(self.reservoir.ids()))
-        events = diff_snapshots(self.last_snapshot, snap)
+        snap = self.tree.extract_clusters(tau, t, outliers=outliers)
+        events = diff_snapshots(last, snap)
         for e in events:
             self.log.append(e)
         self.last_snapshot = snap
+        self._selected_at = stamp
         return events
 
     def snapshot_rows(self) -> list[SnapshotRow]:

@@ -116,6 +116,10 @@ def diff_snapshots(prev: ClusterSnapshot, next_: ClusterSnapshot
     if prev.time > next_.time:
         raise OutOfOrderTimestamp(
             f"snapshots out of order: {prev.time} > {next_.time}")
+    if prev.clusters == next_.clusters:
+        # Every lineage edge is a self-edge, and no cell moved, joined
+        # or left a cluster.
+        return []
     t = next_.time
     prev_m = prev.membership()
     next_m = next_.membership()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from streampeaks.cells import CellSpace
-from streampeaks.decay import active_threshold, deletion_horizon
+from streampeaks.decay import active_threshold, deletion_horizon, fade_line
 from streampeaks.deptree import DPTree, PointDistances
 from streampeaks.errors import CellStateError
 
@@ -76,12 +76,21 @@ class OutlierReservoir:
         """Move every active cell that decayed below the threshold, plus
         its whole subtree, back into the reservoir.
 
-        Children are never denser than parents, so the below-threshold
-        set is closed under descendants; removing one subtree per
-        maximal faded cell covers it exactly.
+        Only the sparse end is tested: the walk runs up the forest's
+        density order and stops at the first cell keyed above
+        ``fade_line``, since no denser cell can test below the
+        threshold.  Children are never denser than parents, so the
+        below-threshold set is closed under descendants; removing one
+        subtree per maximal faded cell covers it exactly.
         """
-        below = {c for c in self.tree.nodes()
-                 if self.space.cell_density_at(c, t) < self.threshold}
+        line = fade_line(self.space.params, t)
+        density_at, threshold = self.space.cell_density_at, self.threshold
+        below = set()
+        for key, c in self.tree.sparsest_first():
+            if key > line:
+                break
+            if density_at(c, t) < threshold:
+                below.add(c)
         roots = sorted(c for c in below
                        if self.tree.parent[c] is None or self.tree.parent[c] not in below)
         moved = []

@@ -7,6 +7,7 @@ files.  Floats are written with repr, the shortest round-tripping form.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -37,20 +38,42 @@ def open_text(path: PathLike,
               newline: Optional[str] = None) -> Iterator[TextIO]:
     """The file opened for reading as UTF-8 text.  A byte that does not
     decode raises ``error`` naming the file and the line that holds it.
-    The file streams in chunks; only that error reads it whole, to find
-    the line."""
+    The file streams in chunks, and so does the search for that line."""
     path = Path(path)
     try:
         with path.open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise error(f"{path.name}: line {lineno}: not UTF-8 text") from None
-        raise
+        lineno = _undecodable_line(path)
+        if lineno is None:
+            raise
+        raise error(f"{path.name}: line {lineno}: not UTF-8 text") from None
+
+
+def _undecodable_line(path: Path, chunk_size: int = 1 << 16) -> Optional[int]:
+    """1-based line of the first byte of the file that is not UTF-8, or
+    None when it all decodes.  A character split across chunks waits in
+    the decoder, and its bytes are never newlines."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lineno = 1
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(chunk_size), b""):
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError as exc:
+                return lineno + exc.object.count(b"\n", 0, exc.start)
+            lineno += chunk.count(b"\n")
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return lineno
+    return None
+
+
+def _record_error(name: str, line: int, exc: csv.Error) -> StreamFormatError:
+    """A record the csv module cannot read, named by the line it starts
+    on: one past the line the previous record ended on."""
+    return StreamFormatError(f"{name}: line {line}: {exc}")
 
 
 def stream_header(dim: int, labeled: bool) -> list[str]:
@@ -70,9 +93,13 @@ def open_stream(path: PathLike
     the points inside the ``with`` block: leaving it closes the file,
     and a byte met there that is not UTF-8 is reported with its line.
     """
+    name = Path(path).name
     with open_text(path, newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, None)
+        try:
+            header = next(rows, None)
+        except csv.Error as exc:
+            raise _record_error(name, 1, exc) from None
         if header is None:
             raise StreamFormatError("line 1: empty file, expected a header")
         labeled = bool(header) and header[-1] == "label"
@@ -81,30 +108,36 @@ def open_stream(path: PathLike
             raise StreamFormatError(
                 f"line 1: bad header {','.join(header)!r}, "
                 "expected t,x1,...,xd[,label]")
-        yield labeled, _parse_rows(rows, dim, labeled)
+        yield labeled, _parse_rows(rows, dim, labeled, name)
 
 
-def _parse_rows(rows: Iterator[list[str]], dim: int,
-                labeled: bool) -> Iterator[StreamPoint]:
+def _parse_rows(rows, dim: int, labeled: bool,
+                name: str) -> Iterator[StreamPoint]:
+    """Points from a ``csv.reader`` past the header."""
     isfinite = math.isfinite
     width = dim + (2 if labeled else 1)
     last_t = -math.inf
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise StreamFormatError(
-                f"line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            t = float(row[0])
-            coords = tuple(map(float, row[1:dim + 1]))
-        except ValueError as exc:
-            raise StreamFormatError(f"line {lineno}: {exc}") from None
-        if not (isfinite(t) and all(map(isfinite, coords))):
-            raise StreamFormatError(f"line {lineno}: non-finite value")
-        if t < last_t:
-            raise StreamFormatError(
-                f"line {lineno}: time {t} goes backwards (after {last_t})")
-        last_t = t
-        yield StreamPoint(coords, t, row[dim + 1] if labeled else None)
+    ended = rows.line_num
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise StreamFormatError(
+                    f"line {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                t = float(row[0])
+                coords = tuple(map(float, row[1:dim + 1]))
+            except ValueError as exc:
+                raise StreamFormatError(f"line {lineno}: {exc}") from None
+            if not (isfinite(t) and all(map(isfinite, coords))):
+                raise StreamFormatError(f"line {lineno}: non-finite value")
+            if t < last_t:
+                raise StreamFormatError(
+                    f"line {lineno}: time {t} goes backwards (after {last_t})")
+            last_t = t
+            yield StreamPoint(coords, t, row[dim + 1] if labeled else None)
+            ended = rows.line_num
+    except csv.Error as exc:
+        raise _record_error(name, ended + 1, exc) from None
 
 
 def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
@@ -179,19 +212,25 @@ def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
     rows: list[SnapshotRow] = []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
-            raise StreamFormatError(f"{path.name}: bad snapshot header")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"expected {len(header)} fields, got {len(row)}")
-                rows.append((int(row[0]), int(row[1]), float(row[2]),
-                             float(row[3]), tuple(float(v) for v in row[4:])))
-            except ValueError as exc:
-                raise StreamFormatError(
-                    f"{path.name}: line {lineno}: {exc}") from None
+        ended = 0
+        try:
+            header = next(reader, None)
+            if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
+                raise StreamFormatError(f"{path.name}: bad snapshot header")
+            ended = reader.line_num
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(
+                            f"expected {len(header)} fields, got {len(row)}")
+                    rows.append((int(row[0]), int(row[1]), float(row[2]),
+                                 float(row[3]), tuple(float(v) for v in row[4:])))
+                except ValueError as exc:
+                    raise StreamFormatError(
+                        f"{path.name}: line {lineno}: {exc}") from None
+                ended = reader.line_num
+        except csv.Error as exc:
+            raise _record_error(path.name, ended + 1, exc) from None
     return time, rows
 
 
@@ -225,19 +264,25 @@ def read_counters(path: PathLike) -> dict[str, int]:
     counters: dict[str, int] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["counter", "value"]:
-            raise StreamFormatError(
-                f"{path.name}: line 1: bad counters header, "
-                "expected counter,value")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                counters[row[0]] = int(row[1])
-            except ValueError as exc:
+        ended = 0
+        try:
+            header = next(reader, None)
+            if header != ["counter", "value"]:
                 raise StreamFormatError(
-                    f"{path.name}: line {lineno}: {exc}") from None
+                    f"{path.name}: line 1: bad counters header, "
+                    "expected counter,value")
+            ended = reader.line_num
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != 2:
+                        raise ValueError(f"expected 2 fields, got {len(row)}")
+                    counters[row[0]] = int(row[1])
+                except ValueError as exc:
+                    raise StreamFormatError(
+                        f"{path.name}: line {lineno}: {exc}") from None
+                ended = reader.line_num
+        except csv.Error as exc:
+            raise _record_error(path.name, ended + 1, exc) from None
     return counters
 
 

@@ -22,6 +22,7 @@ from streampeaks.decay import DecayParams, deletion_horizon
 from streampeaks.deptree import Cluster, ClusterSnapshot, DPTree
 from streampeaks.errors import StreamFormatError
 from streampeaks.evolution import EvolutionEvent
+from streampeaks.reservoir import OutlierReservoir
 from streampeaks.streams import open_text
 from streampeaks.tau import ALPHA_GRID, NoConsistentAlpha, UndefinedObjective
 
@@ -127,6 +128,28 @@ def recompute_all(space: CellSpace, t: float
                 best, best_j = d, j
         out[cid] = (best_j, best)
     return out
+
+
+def reference_deactivate_sweep(reservoir: OutlierReservoir, t: float
+                               ) -> list[list[int]]:
+    """``OutlierReservoir.deactivate_sweep`` as first written: the
+    density test on every tree cell, then one subtree removal per
+    maximal faded cell, in root id order."""
+    space, tree = reservoir.space, reservoir.tree
+    below = {c for c in tree.nodes()
+             if space.cell_density_at(c, t) < reservoir.threshold}
+    roots = sorted(c for c in below
+                   if tree.parent[c] is None or tree.parent[c] not in below)
+    moved = []
+    for r in roots:
+        if r not in tree:
+            continue
+        subtree = tree.remove_subtree(r)
+        for c in subtree:
+            space.cell(c).active = False
+            reservoir.put(c, t)
+        moved.append(subtree)
+    return moved
 
 
 def reference_objective(alpha: float, tau: float, deltas) -> float:

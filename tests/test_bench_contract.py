@@ -4,6 +4,7 @@ contract fail here rather than when the benchmark runs."""
 
 import importlib.util
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -78,33 +79,72 @@ def test_engine_looks_up_the_tau_functions_by_name():
     assert engine_module.candidate_taus is tau_module.candidate_taus
 
 
-def test_every_sweep_with_a_candidate_calls_the_objective(monkeypatch):
-    """The tracer counts ``tau.objective_calls`` by wrapping
-    ``streampeaks.tau.objective``.  A sweep with a candidate tau must
-    reach it, so the counter never reads 0 on a working run."""
+def _count_selections(monkeypatch):
+    """Wrap ``tau.objective`` and the engine's ``select_tau``; each
+    selection is recorded as (sweep number, has a candidate, objective
+    calls it made), given the engine at ``selections.engine``."""
     calls = []
     exact = tau_module.objective
     monkeypatch.setattr(tau_module, "objective",
                         lambda *a: calls.append(a) or exact(*a))
     select = engine_module.select_tau
-    sweeps = []
+    selections = SimpleNamespace(rows=[], calls=calls, engine=None)
 
     def counted(alpha, deltas, **kw):
         before = len(calls)
         tau = select(alpha, deltas, **kw)
-        sweeps.append((bool(candidate_taus(deltas)), len(calls) - before))
+        selections.rows.append((selections.engine.sweep_count,
+                                bool(candidate_taus(deltas)),
+                                len(calls) - before))
         return tau
 
     monkeypatch.setattr(engine_module, "select_tau", counted)
-    stream = generate(builtin("mix"), seed=5)[:1500]
-    config = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0,
+    return selections
+
+
+MIX_CONFIG = EngineConfig(r=1.6, a=0.998, lam=1000.0, v=1000.0,
                           beta=0.0021, tau0=5.0, alpha=0.05)
-    eng = StreamEngine(config, dim=2)
+
+
+def test_every_reselecting_sweep_calls_the_objective(monkeypatch):
+    """The tracer counts ``tau.objective_calls`` by wrapping
+    ``streampeaks.tau.objective``.  A sweep that re-selects tau with a
+    candidate must reach it, and the first sweep after ``initialize``
+    always re-selects, so the counter never reads 0 on a working run."""
+    selections = _count_selections(monkeypatch)
+    stream = generate(builtin("mix"), seed=5)[:1500]
+    eng = selections.engine = StreamEngine(MIX_CONFIG, dim=2)
     eng.initialize(stream[:500])
     for p in stream[500:]:
         eng.process_point(p)
-    assert len(sweeps) == 10 and all(has for has, _ in sweeps)
-    assert all(n >= 1 for _, n in sweeps)
+    assert eng.sweep_count == 10
+    swept = [n for n, _, _ in selections.rows]
+    assert swept[0] == 1 and swept == sorted(set(swept))
+    assert all(has and n >= 1 for _, has, n in selections.rows)
+
+
+def test_a_quiet_sweep_skips_selection(monkeypatch):
+    """After the first sweep, points that only found inactive cells, at
+    the prefix's last time, leave the forest as it was: the next sweeps
+    keep tau and the clusters without selecting, and the objective was
+    still called."""
+    selections = _count_selections(monkeypatch)
+    stream = generate(builtin("mix"), seed=5)[:500]
+    eng = selections.engine = StreamEngine(MIX_CONFIG, dim=2)
+    eng.initialize(stream)
+    t = stream[-1].t
+    far = (StreamPoint((1e3 + 10.0 * i, 1e3), t) for i in range(300))
+    for p in islice(far, 100):
+        eng.process_point(p)
+    tau, clusters = eng.tau_state.tau, eng.last_snapshot.clusters
+    for p in far:
+        assert eng.process_point(p) == []
+    assert eng.sweep_count == 3
+    assert [n for n, _, _ in selections.rows] == [1]
+    assert len(selections.calls) > 0
+    assert eng.tau_state.tau == tau
+    assert eng.last_snapshot.clusters == clusters
+    assert len(eng.last_snapshot.outlier_cells) == len(eng.reservoir) >= 300
 
 
 # The CLI workload times ``run`` by swapping ``cli._resume`` for a

@@ -420,6 +420,35 @@ class TestExitCodes:
         assert code == 3
         assert "line 5" in capsys.readouterr().err
 
+    def test_overlong_field_is_a_format_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x1\n0," + "9" * 200_000 + "\n")
+        (tmp_path / "toy.conf").write_text(TOY_CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", "init", str(bad),
+             "--config", str(tmp_path / "toy.conf"),
+             "--state", str(tmp_path / "state.json")],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "bad.csv: line 2: field larger than field limit" in proc.stderr
+
+    def test_unmatched_quote_in_run_names_its_line(self, sds_run, tmp_path):
+        """A `"` opening line 3,001 swallows the rest of the stream into
+        one field that outgrows the csv module's limit."""
+        lines = sds_run.stream.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 20_001
+        lines[3000] = b'"' + lines[3000]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "streampeaks", "run", str(bad),
+             "--state", str(sds_run.state)],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "bad.csv: line 3001: " in proc.stderr
+
     def test_eval_requires_labels(self, tmp_path, capsys):
         plain = tmp_path / "plain.csv"
         write_stream(plain, toy_points(), labeled=False)
@@ -516,11 +545,12 @@ class TestMidStreamFailure:
         assert written == expected[:len(written)]
 
 
-def traced_peak_mb(argv: list[str]) -> float:
-    """The tracemalloc peak of ``main(argv)``, in MB."""
+def traced_peak_mb(argv: list[str], code: int = 0) -> float:
+    """The tracemalloc peak of ``main(argv)``, which must exit with
+    ``code``, in MB."""
     tracemalloc.start()
     try:
-        assert main(argv) == 0
+        assert main(argv) == code
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -563,6 +593,22 @@ class TestMemoryIsBoundedByState:
                  "--counters", str(out / "counters.csv")])
         assert peaks[20.0] < 1.0
         assert peaks[20.0] - peaks[2.0] < 0.5
+
+    def test_run_finding_a_late_non_utf8_byte(self, streams, mix_state,
+                                              tmp_path, capsys):
+        """The bad byte's line is found without reading the file whole."""
+        paths, _ = streams
+        data = paths[20.0].read_bytes()
+        lines = data.count(b"\n")
+        assert lines > 20_000
+        at = data.rindex(b"\n", 0, len(data) - 1000) + 1
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        peak = traced_peak_mb(["run", str(bad), "--state", str(mix_state.state),
+                               "--snapshots", str(tmp_path / "snaps")], code=3)
+        line = data.count(b"\n", 0, at) + 1
+        assert f"bad.csv: line {line}: not UTF-8 text" in capsys.readouterr().err
+        assert peak < 1.0
 
 
 class TestEvalScores:

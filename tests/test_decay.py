@@ -12,8 +12,10 @@ from streampeaks.decay import (
     absorb,
     active_threshold,
     decay_density,
+    decay_factor,
     deletion_horizon,
     density_order_key,
+    fade_line,
     freshness,
     total_freshness,
 )
@@ -238,6 +240,38 @@ class TestDensityOrderKey:
     def test_rejects_nonpositive_density(self):
         with pytest.raises(ValueError):
             density_order_key(REF, 0.0, 1.0)
+
+
+class TestFadeLine:
+    @given(
+        params=st.sampled_from([REF, DecayParams(a=0.998, lam=1000.0, v=1000.0,
+                                                 beta=0.0021)]),
+        t=st.floats(0.0, 1.7e9),
+        dt=st.floats(0.0, 1e4),
+        ulps=st.integers(-4, 4),
+    )
+    @settings(max_examples=1000)
+    def test_no_cell_keyed_above_the_line_tests_below(self, params, t, dt,
+                                                      ulps):
+        """Densities a few ulps either side of the threshold at times up
+        to 1.7e9 s: a key above the line means the density test passes."""
+        t_last = max(0.0, t - dt / params.lam)
+        factor = decay_factor(params, t - t_last)
+        if factor == 0.0:
+            return
+        rho = active_threshold(params) / factor
+        for _ in range(abs(ulps)):
+            rho = math.nextafter(rho, math.copysign(math.inf, ulps))
+        if density_order_key(params, rho, t_last) > fade_line(params, t):
+            assert decay_density(params, rho, t_last, t) >= active_threshold(params)
+
+    def test_guard_band_is_narrow(self):
+        """The line sits above ln(threshold) + lam*|ln a|*t by well under
+        a millionth of a unit of log-density at 1.7e9 s."""
+        for t in (0.0, 20.0, 1.7e9):
+            exact = (math.log(active_threshold(REF))
+                     + REF.lam * abs(math.log(REF.a)) * t)
+            assert 0.0 < fade_line(REF, t) - exact < 1e-5
 
 
 class TestOrderPreservation:

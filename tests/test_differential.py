@@ -1,6 +1,9 @@
 """Point-level differential harness: a hypothesis state machine feeds
 one engine point by point and checks it against from-scratch references
 after every point, plus a twin engine with the update filters off.
+At every sweep, tau, its candidates, the snapshot and the events are
+recomputed from the forest, whether the sweep re-selected them or kept
+them because the forest had not changed.
 
 Streams sit on a lattice of multiples of r/2 (exact distance ties,
 points exactly at r, repeated seeds), repeat timestamps, and jump past
@@ -20,10 +23,13 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+import streampeaks.engine as engine_module
 from streampeaks.cells import StreamPoint, seed_distance
 from streampeaks.decay import active_threshold
 from streampeaks.deptree import DPTree
 from streampeaks.engine import EngineConfig, StreamEngine
+from streampeaks.evolution import diff_snapshots
+from streampeaks.tau import candidate_taus, select_tau
 
 from _oracles import check_order_index
 
@@ -88,13 +94,31 @@ class EngineMachine(RuleBasedStateMachine):
     def point(self, steps, dt):
         self.t += dt
         p = StreamPoint(tuple(k * R / 2 for k in steps[:self.dim]), self.t)
-        sweeps = self.engine.sweep_count
-        for eng in (self.engine, self.twin):
-            eng.process_point(p)
-        res = self.engine.last_assign
+        eng = self.engine
+        sweeps, selections = eng.sweep_count, self.seen["selections"]
+        tau_before, snap_before = eng.tau_state.tau, eng.last_snapshot
+        events = eng.process_point(p)
+        reselected = self.seen["selections"] > selections
+        self.twin.process_point(p)
+        res = eng.last_assign
         if res.created:
             self.founded.add(res.cell_id)
-        self.swept = self.engine.sweep_count > sweeps
+        self.swept = eng.sweep_count > sweeps
+        if self.swept:
+            self._check_sweep(tau_before, snap_before, events)
+            self.seen["full_sweeps" if reselected else "quiet_sweeps"] += 1
+
+    def _check_sweep(self, tau_before, snap_before, events):
+        """Tau, its candidates, the clusters and the events of the sweep
+        just run, recomputed from the engine's forest and reservoir."""
+        eng = self.engine
+        deltas = list(eng.tree.delta.values())
+        tau = select_tau(eng.tau_state.alpha, deltas, previous=tau_before)
+        assert eng.tau_state.tau == tau
+        assert eng.tau_state.candidates == tuple(candidate_taus(deltas))
+        assert eng.last_snapshot == DPTree.build(eng.space).extract_clusters(
+            tau, eng.now, outliers=tuple(eng.reservoir.ids()))
+        assert events == diff_snapshots(snap_before, eng.last_snapshot)
 
     @invariant()
     def forests_equal_scratch_rebuilds(self):
@@ -147,8 +171,15 @@ class EngineMachine(RuleBasedStateMachine):
         self.seen["recycled_at_sweep"] += eng.counters()["recycled_cells"]
 
 
-def test_engine_matches_references_point_by_point():
+def test_engine_matches_references_point_by_point(monkeypatch):
     seen: Counter = Counter()
+    select = engine_module.select_tau
+
+    def counted(*args, **kwargs):
+        seen["selections"] += 1
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "select_tau", counted)
     machine = type("Machine", (EngineMachine,), {"seen": seen})
     run_state_machine_as_test(machine, settings=SETTINGS)
     # A harness whose streams never sweep, deactivate or recycle proves
@@ -158,3 +189,7 @@ def test_engine_matches_references_point_by_point():
     assert seen["removed_cells"] > 0
     assert seen["recycled_at_sweep"] > 0
     assert seen["cached_pairs"] > 0
+    # Sweeps that keep the last tau and clusters, and sweeps that
+    # re-select them, are both checked against the recomputation.
+    assert seen["quiet_sweeps"] > 0
+    assert seen["full_sweeps"] > 0

@@ -1,17 +1,26 @@
 """Reservoir: activation, deactivation sweeps, recycling, size bounds."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streampeaks.cells import CellSpace, StreamPoint
-from streampeaks.decay import DecayParams, active_threshold, deletion_horizon
+from streampeaks.decay import (
+    DecayParams,
+    active_threshold,
+    decay_factor,
+    deletion_horizon,
+    density_order_key,
+)
 from streampeaks.deptree import DPTree
 from streampeaks.errors import CellStateError
 from streampeaks.reservoir import OutlierReservoir
 
-from _oracles import active_bound, capacity_bound
+from _oracles import active_bound, capacity_bound, reference_deactivate_sweep
 
 PARAMS = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 THRESHOLD = active_threshold(PARAMS)
@@ -144,6 +153,104 @@ class TestDeactivateSweep:
             assert sp.cell_density_at(c, 30.0) >= THRESHOLD
         scratch = DPTree.build(sp)
         assert tree.forest_state() == scratch.forest_state()
+
+
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Shipped decay, the benchmark's lam = v = 1000, and a fast toy decay.
+SWEEP_PARAMS = (PARAMS, DecayParams(a=0.998, lam=1000.0, v=1000.0, beta=0.0021),
+                DecayParams(a=0.9, lam=1.0, v=4.0, beta=0.04))
+
+
+@st.composite
+def faded_forests(draw):
+    """Decay parameters, a sweep time up to 1.7e9 s and tree cells as
+    (grid position, rho_last, t_last).  A "near" cell decays to within
+    a few ulps of the threshold at the sweep, either side; a "copy"
+    repeats an earlier cell's density and time, so their order keys are
+    equal; a "free" cell may sit anywhere, floored decay included."""
+    params = draw(st.sampled_from(SWEEP_PARAMS))
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0, 1.7e9]),
+                       st.floats(0.0, 1.7e9)))
+    span = 20.0 / (params.lam * abs(math.log(params.a)))
+    positions = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=1, max_size=12, unique=True))
+    threshold = active_threshold(params)
+    cells = []
+    for pos in positions:
+        kind = draw(st.sampled_from(["near", "near", "copy", "free"]))
+        if kind == "copy" and cells:
+            cells.append((pos, *cells[draw(st.integers(0, len(cells) - 1))][1:]))
+            continue
+        t_last = max(0.0, t - draw(st.floats(0.0, span)))
+        if kind == "free":
+            t_last = max(0.0, t - draw(st.floats(0.0, 3.0 * span)))
+            cells.append((pos, draw(st.floats(1.0, 1e6)), t_last))
+            continue
+        rho = threshold / decay_factor(params, t - t_last)
+        cells.append((pos, nudged(rho, draw(st.integers(-4, 4))), t_last))
+    return params, t, cells
+
+
+def faded_rig(params, cells):
+    """Every listed cell active and in a scratch-built forest."""
+    sp = CellSpace(params, r=0.3, dim=2)
+    for pos, rho, t_last in cells:
+        cell = sp.cell(sp.assign_point(StreamPoint.of(pos, 0.0)).cell_id)
+        cell.rho_last, cell.t_last, cell.active = rho, t_last, True
+    tree = DPTree.build(sp)
+    return sp, tree, OutlierReservoir(sp, tree)
+
+
+class TestDeactivateWalk:
+    """The sweep tests only the sparse end of the density order; it must
+    move what the full scan of every tree cell moves."""
+
+    def test_equals_the_full_scan(self):
+        seen = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
+        @given(faded_forests())
+        def check(case):
+            params, t, cells = case
+            sp, tree, res = faded_rig(params, cells)
+            ref_sp, ref_tree, ref_res = faded_rig(params, cells)
+            below = sum(sp.cell_density_at(c, t) < res.threshold
+                        for c in tree.nodes())
+            tested = []
+            density_at = sp.cell_density_at
+            sp.cell_density_at = lambda c, at: tested.append(c) or density_at(c, at)
+            assert res.deactivate_sweep(t) == reference_deactivate_sweep(ref_res, t)
+            assert tree.forest_state() == ref_tree.forest_state()
+            assert list(res.last_touch.items()) == list(ref_res.last_touch.items())
+            assert ({c: x.active for c, x in sp.cells.items()}
+                    == {c: x.active for c, x in ref_sp.cells.items()})
+            seen["below"] += below > 0
+            seen["above"] += below < len(cells)
+            seen["skipped"] += len(tested) < len(cells)
+            seen["late"] += t > 1e9
+            keys = [density_order_key(params, rho, tl) for _, rho, tl in cells]
+            seen["equal_keys"] += len(set(keys)) < len(keys)
+
+        check()
+        assert min(seen[k] for k in
+                   ("below", "above", "skipped", "late", "equal_keys")) >= 20
+
+    def test_stops_at_the_first_cell_above_the_line(self):
+        """Nine cells far above the threshold and one faded: the sweep
+        tests the faded cell only."""
+        cells = [((i, 0), 1e5, 10.0) for i in range(9)] + [((9, 0), 1060.0, 0.0)]
+        sp, tree, res = faded_rig(PARAMS, cells)
+        tested = []
+        density_at = sp.cell_density_at
+        sp.cell_density_at = lambda c, at: tested.append(c) or density_at(c, at)
+        assert res.deactivate_sweep(10.0) == [[9]]
+        assert tested == [9]
 
 
 class TestRecycle:

@@ -11,6 +11,7 @@ from streampeaks.evolution import EvolutionEvent
 from streampeaks.streams import (
     list_snapshots,
     open_stream,
+    open_text,
     read_counters,
     read_snapshot,
     read_stream,
@@ -231,6 +232,30 @@ class TestCountersAndEval:
         assert read_eval(path) == rows
 
 
+class TestUnreadableRecords:
+    """A record the csv module refuses is a format error naming the file
+    and the line the record starts on, which need not be its count."""
+
+    LONG = "9" * 200_000
+
+    @pytest.mark.parametrize("reader, text, line", [
+        (read_stream, "t,x1\n0,{long}\n", 2),
+        (read_stream, 't,x1,label\n0,1,"a\nb"\n1,{long},L\n', 4),
+        (read_stream, "t,{long}\n0,1\n", 1),
+        (read_snapshot, "cell_id,cluster_id,rho,delta,x1\n0,0,1.0,inf,0.0\n"
+                        "1,0,0.5,1.0,{long}\n", 3),
+        (read_counters, "counter,value\na,1\nb,{long}\n", 3),
+    ], ids=["stream", "stream-after-two-line-record", "stream-header",
+            "snapshot", "counters"])
+    def test_long_field_names_file_and_line(self, tmp_path, reader, text,
+                                            line):
+        path = tmp_path / snapshot_filename(0, 1.5)
+        path.write_text(text.format(long=self.LONG), newline="")
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"{path.name}: line {line}: field larger")):
+            reader(path)
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize("reader, text", [
         (read_stream, "t,x1\n0.0,1.0\n1.0,2.0\n"),
@@ -247,3 +272,22 @@ class TestNonUtf8:
         with pytest.raises(StreamFormatError,
                            match=re.escape(f"{path.name}: line 3: not UTF-8")):
             reader(path)
+
+    @pytest.mark.parametrize("at", [0, 65532, 65535, 65538, 199_998])
+    def test_line_found_across_chunks(self, tmp_path, at):
+        """Lines of "é" (2 bytes) and a newline: the file is searched in
+        64 KB chunks, and the first chunk ends inside a character."""
+        body = ("é\n" * 150_000).encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body[:at] + b"\xff" + body[at:])
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"bad.csv: line {at // 3 + 1}: not UTF-8")):
+            with open_text(path) as fh:
+                fh.read()
+
+    def test_truncated_character_at_the_end(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"counter,value\na,1\n\xc3")
+        with pytest.raises(StreamFormatError,
+                           match=re.escape("bad.csv: line 3: not UTF-8")):
+            read_counters(path)
