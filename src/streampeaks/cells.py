@@ -213,11 +213,6 @@ class CellSpace:
         row = scan.argmin()
         return int(self._ids[row]), float(scan[row])
 
-    def nearest_seed(self, p: StreamPoint) -> Optional[tuple[int, float]]:
-        """Nearest seed over ALL cells, active and inactive."""
-        self._check_coords(p.coords)
-        return self._scan(p.coords)
-
     def assign_point(self, p: StreamPoint) -> AssignResult:
         """Absorb p into the nearest cell within r, or found a new cell.
 

@@ -17,21 +17,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from streampeaks.cells import CellSpace, seed_distance
 from streampeaks.decay import density_order_key
 from streampeaks.errors import CellStateError
 
 FILTER_MODES = ("off", "density", "both")
-
-
-class Relink(NamedTuple):
-    cell: int
-    old_dep: Optional[int]
-    new_dep: Optional[int]
-    old_delta: float
-    new_delta: float
 
 
 @dataclass(frozen=True)
@@ -177,20 +169,15 @@ class DPTree:
         return best_id, best
 
     def insert_active(self, c: int,
-                      point_dists: Optional[PointDistances] = None) -> list[Relink]:
-        """Add a newly activated cell; relink cells it now dominates.
-
-        Returns the relinks of OTHER cells; the new cell's own link is
-        readable from the tree directly.
-        """
+                      point_dists: Optional[PointDistances] = None) -> None:
+        """Add a newly activated cell; relink cells it now dominates."""
         cell = self.space.cell(c)
         if not cell.active:
             raise CellStateError(f"cell {c} is not active")
         if c in self.parent:
             raise CellStateError(f"cell {c} is already in the tree")
         self.key[c] = self._fresh_key(c)
-        rank_c = self._rank(c)
-        pos = bisect_left(self._order, rank_c)
+        pos = bisect_left(self._order, self._rank(c))
         # The new cell's row starts empty, so fill it, both ways round,
         # from one kernel call over its denser prefix.
         denser = [e for _, e in self._order[:pos]]
@@ -198,18 +185,61 @@ class DPTree:
         row = dists[c] = dict(zip(denser, self.space.seed_distances(c, denser)))
         for e, d in row.items():
             dists[e][c] = d
-        self._order.insert(pos, rank_c)
-        self.parent[c], self.delta[c] = self.compute_dependency(c)
+        self._rise(c, len(self._order), point_dists)
 
-        records = self._relink_to(c, [e for _, e in self._order[pos + 1:]],
-                                  point_dists)
-        records.sort()  # one record per cell, so this orders by cell
-        return records
+    def on_density_increase(self, c: int,
+                            point_dists: Optional[PointDistances] = None) -> int:
+        """Re-establish the forest after cell c absorbed a point; returns
+        how many cells changed link."""
+        if c not in self.key:
+            raise CellStateError(f"cell {c} is not in the tree")
+        pos_old = bisect_left(self._order, self._rank(c))
+        del self._order[pos_old]
+        self.key[c] = self._fresh_key(c)
+        return self._rise(c, pos_old, point_dists)
+
+    def _rise(self, c: int, pos_old: int,
+              point_dists: Optional[PointDistances]) -> int:
+        """Put c, out of ``_order`` with its key just raised, back in rank
+        order, and return how many cells changed link.  ``pos_old`` is
+        where c ranked before the rise: ``len(_order)`` for a cell new to
+        the tree, which so overtakes every cell ranked below it.
+
+        Only cells whose density order against c flipped (the band c
+        overtook) can need a new link; with filters off every cell now
+        ranked below c is checked instead, as the maximal-work baseline.
+        The links and cache pairs ``_relink_to`` touches all lie below
+        c, and c's own dependency reads only pairs above it, so the two
+        can run in either order.
+        """
+        rank = self._rank(c)
+        pos = bisect_left(self._order, rank)
+        band = [e for _, e in self._order[pos:pos_old]]
+        self._order.insert(pos, rank)
+        if self.filters == "off":
+            candidates = [e for _, e in self._order[pos + 1:]]
+        else:
+            candidates = band
+            self.filter_skips += len(self._order) - pos - 1 - len(band)
+        relinks = self._relink_to(c, candidates, point_dists)
+
+        # A new cell has no link yet.  Otherwise c's denser set shrank by
+        # exactly the band, so its link can only be stale if the old
+        # dependency is in that band.
+        if c not in self.parent:
+            self.parent[c], self.delta[c] = self.compute_dependency(c)
+        elif self.filters == "off" or self.parent[c] in band:
+            link = self.compute_dependency(c)
+            if link != (self.parent[c], self.delta[c]):
+                self.parent[c], self.delta[c] = link
+                relinks += 1
+        return relinks
 
     def _relink_to(self, c: int, candidates: list[int],
-                   point_dists: Optional[PointDistances]) -> list[Relink]:
+                   point_dists: Optional[PointDistances]) -> int:
         """Link to c every candidate whose seed lies nearer to c than to
-        its current dependency (equal distance goes to the smaller id).
+        its current dependency (equal distance goes to the smaller id);
+        returns how many were relinked.
 
         With both filters on, the triangle filter rules candidates out
         from the absorbed point's distances before any seed distance is
@@ -217,7 +247,7 @@ class DPTree:
         apart, so a gap wider than delta[e] proves e keeps its link.
         """
         if not candidates:
-            return []
+            return 0
         use_triangle = self.filters == "both" and point_dists is not None
         if use_triangle:
             # A memoryview reads the scan as Python floats, bit for bit,
@@ -230,8 +260,7 @@ class DPTree:
         cached = row.get
         seed_c = cells[c].seed
         inf = math.inf
-        records = []
-        skips = 0
+        relinks = skips = 0
         for e in candidates:
             de = delta[e]
             if (use_triangle and de < inf
@@ -241,51 +270,12 @@ class DPTree:
             d = cached(e)
             if d is None:
                 d = row[e] = dists[e][c] = seed_distance(seed_c, cells[e].seed)
-            pe = parent[e]
-            if d < de or (d == de and pe is not None and c < pe):
-                records.append(Relink(e, pe, c, de, d))
+            if d < de or (d == de and parent[e] is not None and c < parent[e]):
                 parent[e], delta[e] = c, d
+                relinks += 1
         self.filter_skips += skips
         self.seed_distance_evals += len(candidates) - skips
-        return records
-
-    def on_density_increase(self, c: int,
-                            point_dists: Optional[PointDistances] = None) -> list[Relink]:
-        """Re-establish the forest after cell c absorbed a point.
-
-        Only cells whose density order against c flipped (the slice c
-        overtook in ``_order``) can need a new link; with filters off
-        every cell now ranked below c is checked instead, as the
-        maximal-work baseline.
-        """
-        if c not in self.key:
-            raise CellStateError(f"cell {c} is not in the tree")
-        old_rank = self._rank(c)
-        pos_old = bisect_left(self._order, old_rank)
-        del self._order[pos_old]
-        self.key[c] = self._fresh_key(c)
-        new_rank = self._rank(c)
-        pos_new = bisect_left(self._order, new_rank)
-        band = [e for _, e in self._order[pos_new:pos_old]]
-        self._order.insert(pos_new, new_rank)
-
-        if self.filters == "off":
-            candidates = [e for _, e in self._order[pos_new + 1:]]
-        else:
-            candidates = band
-            self.filter_skips += len(self._order) - pos_new - 1 - len(band)
-        records = self._relink_to(c, candidates, point_dists)
-
-        # c's own denser set shrank by exactly the band; its stored link
-        # can only be stale if the old dependency is in that band.
-        old_dep = self.parent[c]
-        if self.filters == "off" or old_dep in band:
-            dep, delta = self.compute_dependency(c)
-            if (dep, delta) != (old_dep, self.delta[c]):
-                records.append(Relink(c, old_dep, dep, self.delta[c], delta))
-                self.parent[c], self.delta[c] = dep, delta
-        records.sort()  # one record per cell, so this orders by cell
-        return records
+        return relinks
 
     def remove_subtree(self, c: int) -> list[int]:
         """Detach c and every descendant and return their ids, sorted;

@@ -134,7 +134,7 @@ class EngineConfig:
                         raise ConfigError(f"recycle must be on or off, got {value!r}")
                     kwargs["recycle"] = _BOOL_WORDS[value.lower()]
                 elif key == "filters":
-                    kwargs["filters"] = {"density-only": "density"}.get(value, value)
+                    kwargs["filters"] = value
                 else:
                     raise ConfigError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -259,8 +259,8 @@ class StreamEngine:
         else:
             pd = PointDistances(self.space)
             if self.space.cell(res.cell_id).active:
-                relinks = self.tree.on_density_increase(res.cell_id, pd)
-                self._counts["relinks"] += len(relinks)
+                self._counts["relinks"] += self.tree.on_density_increase(
+                    res.cell_id, pd)
             elif self.reservoir.try_activate(res.cell_id, res.t, pd):
                 self._counts["activations"] += 1
         self._since_sweep += 1

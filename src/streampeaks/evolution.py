@@ -71,12 +71,6 @@ class EventLog:
                 f"event at t={event.time} after t={self._events[-1].time}")
         self._events.append(event)
 
-    def query(self, start: float, end: float, *,
-              include_start: bool = True) -> list[EvolutionEvent]:
-        """Events with start <= time <= end (start exclusive on request)."""
-        lo = (lambda t: t >= start) if include_start else (lambda t: t > start)
-        return [e for e in self._events if lo(e.time) and e.time <= end]
-
 
 def _lineage_edges(prev: ClusterSnapshot, next_: ClusterSnapshot,
                    prev_m: dict[int, int], next_m: dict[int, int]

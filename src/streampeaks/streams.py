@@ -70,10 +70,27 @@ def _undecodable_line(path: Path, chunk_size: int = 1 << 16) -> Optional[int]:
     return None
 
 
-def _record_error(name: str, line: int, exc: csv.Error) -> StreamFormatError:
-    """A record the csv module cannot read, named by the line it starts
-    on: one past the line the previous record ended on."""
-    return StreamFormatError(f"{name}: line {line}: {exc}")
+@contextmanager
+def open_records(path: PathLike
+                 ) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """The CSV records of a file, each with the physical line it starts
+    on: one past the line the previous record ended on.  A record the
+    csv module cannot read raises ``StreamFormatError`` naming the file
+    and that line; a byte that is not UTF-8 is reported as
+    ``open_text`` reports it.  Read the records inside the ``with``
+    block."""
+    with open_text(path, newline="") as fh:
+        yield _records(csv.reader(fh), Path(path).name)
+
+
+def _records(reader, name: str) -> Iterator[tuple[int, list[str]]]:
+    line = 1
+    try:
+        for fields in reader:
+            yield line, fields
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise StreamFormatError(f"{name}: line {line}: {exc}") from None
 
 
 def stream_header(dim: int, labeled: bool) -> list[str]:
@@ -89,55 +106,48 @@ def open_stream(path: PathLike
     """A point file opened for lazy parsing: whether it carries labels,
     and an iterator that reads, validates and returns one row per step.
 
-    Errors carry the 1-based line number of the offending row.  Consume
-    the points inside the ``with`` block: leaving it closes the file,
-    and a byte met there that is not UTF-8 is reported with its line.
+    Errors name the file and the physical line of the offending row.
+    Consume the points inside the ``with`` block: leaving it closes the
+    file, and a byte met there that is not UTF-8 is reported with its
+    line.
     """
     name = Path(path).name
-    with open_text(path, newline="") as fh:
-        rows = csv.reader(fh)
-        try:
-            header = next(rows, None)
-        except csv.Error as exc:
-            raise _record_error(name, 1, exc) from None
+    with open_records(path) as records:
+        _, header = next(records, (1, None))
         if header is None:
-            raise StreamFormatError("line 1: empty file, expected a header")
+            raise StreamFormatError(
+                f"{name}: line 1: empty file, expected a header")
         labeled = bool(header) and header[-1] == "label"
         dim = len(header) - 1 - (1 if labeled else 0)
         if dim < 1 or header != stream_header(dim, labeled):
             raise StreamFormatError(
-                f"line 1: bad header {','.join(header)!r}, "
+                f"{name}: line 1: bad header {','.join(header)!r}, "
                 "expected t,x1,...,xd[,label]")
-        yield labeled, _parse_rows(rows, dim, labeled, name)
+        yield labeled, _parse_rows(records, dim, labeled, name)
 
 
-def _parse_rows(rows, dim: int, labeled: bool,
-                name: str) -> Iterator[StreamPoint]:
-    """Points from a ``csv.reader`` past the header."""
+def _parse_rows(records: Iterator[tuple[int, list[str]]], dim: int,
+                labeled: bool, name: str) -> Iterator[StreamPoint]:
+    """Points from ``open_records`` past the header."""
     isfinite = math.isfinite
     width = dim + (2 if labeled else 1)
     last_t = -math.inf
-    ended = rows.line_num
-    try:
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != width:
-                raise StreamFormatError(
-                    f"line {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                coords = tuple(map(float, row[1:dim + 1]))
-            except ValueError as exc:
-                raise StreamFormatError(f"line {lineno}: {exc}") from None
-            if not (isfinite(t) and all(map(isfinite, coords))):
-                raise StreamFormatError(f"line {lineno}: non-finite value")
-            if t < last_t:
-                raise StreamFormatError(
-                    f"line {lineno}: time {t} goes backwards (after {last_t})")
-            last_t = t
-            yield StreamPoint(coords, t, row[dim + 1] if labeled else None)
-            ended = rows.line_num
-    except csv.Error as exc:
-        raise _record_error(name, ended + 1, exc) from None
+    for line, row in records:
+        if len(row) != width:
+            raise StreamFormatError(
+                f"{name}: line {line}: expected {width} fields, got {len(row)}")
+        try:
+            t = float(row[0])
+            coords = tuple(map(float, row[1:dim + 1]))
+        except ValueError as exc:
+            raise StreamFormatError(f"{name}: line {line}: {exc}") from None
+        if not (isfinite(t) and all(map(isfinite, coords))):
+            raise StreamFormatError(f"{name}: line {line}: non-finite value")
+        if t < last_t:
+            raise StreamFormatError(
+                f"{name}: line {line}: time {t} goes backwards (after {last_t})")
+        last_t = t
+        yield StreamPoint(coords, t, row[dim + 1] if labeled else None)
 
 
 def read_stream(path: PathLike) -> tuple[list[StreamPoint], bool]:
@@ -203,34 +213,27 @@ def list_snapshots(out_dir: PathLike) -> list[Path]:
 
 def read_snapshot(path: PathLike) -> tuple[float, list[SnapshotRow]]:
     """Inverse of write_snapshot; time comes from the file name.  Row
-    errors name the file and the row's 1-based line."""
+    errors name the file and the physical line the row starts on."""
     path = Path(path)
     m = _SNAPSHOT_NAME.search(path.name)
     if m is None:
         raise StreamFormatError(f"not a snapshot file name: {path.name}")
     time = float(m.group(2))
     rows: list[SnapshotRow] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        ended = 0
-        try:
-            header = next(reader, None)
-            if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
-                raise StreamFormatError(f"{path.name}: bad snapshot header")
-            ended = reader.line_num
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(
-                            f"expected {len(header)} fields, got {len(row)}")
-                    rows.append((int(row[0]), int(row[1]), float(row[2]),
-                                 float(row[3]), tuple(float(v) for v in row[4:])))
-                except ValueError as exc:
-                    raise StreamFormatError(
-                        f"{path.name}: line {lineno}: {exc}") from None
-                ended = reader.line_num
-        except csv.Error as exc:
-            raise _record_error(path.name, ended + 1, exc) from None
+    with open_records(path) as records:
+        _, header = next(records, (1, None))
+        if header is None or header[:4] != ["cell_id", "cluster_id", "rho", "delta"]:
+            raise StreamFormatError(f"{path.name}: line 1: bad snapshot header")
+        for line, row in records:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"expected {len(header)} fields, got {len(row)}")
+                rows.append((int(row[0]), int(row[1]), float(row[2]),
+                             float(row[3]), tuple(float(v) for v in row[4:])))
+            except ValueError as exc:
+                raise StreamFormatError(
+                    f"{path.name}: line {line}: {exc}") from None
     return time, rows
 
 
@@ -258,31 +261,24 @@ def write_counters(path: PathLike, counters: dict[str, int]) -> None:
 
 
 def read_counters(path: PathLike) -> dict[str, int]:
-    """Inverse of write_counters.  Errors name the file and the 1-based
-    line."""
+    """Inverse of write_counters.  Errors name the file and the
+    physical line."""
     path = Path(path)
     counters: dict[str, int] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        ended = 0
-        try:
-            header = next(reader, None)
-            if header != ["counter", "value"]:
+    with open_records(path) as records:
+        _, header = next(records, (1, None))
+        if header != ["counter", "value"]:
+            raise StreamFormatError(
+                f"{path.name}: line 1: bad counters header, "
+                "expected counter,value")
+        for line, row in records:
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                counters[row[0]] = int(row[1])
+            except ValueError as exc:
                 raise StreamFormatError(
-                    f"{path.name}: line 1: bad counters header, "
-                    "expected counter,value")
-            ended = reader.line_num
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    if len(row) != 2:
-                        raise ValueError(f"expected 2 fields, got {len(row)}")
-                    counters[row[0]] = int(row[1])
-                except ValueError as exc:
-                    raise StreamFormatError(
-                        f"{path.name}: line {lineno}: {exc}") from None
-                ended = reader.line_num
-        except csv.Error as exc:
-            raise _record_error(path.name, ended + 1, exc) from None
+                    f"{path.name}: line {line}: {exc}") from None
     return counters
 
 

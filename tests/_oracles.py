@@ -8,7 +8,6 @@ validated against these, never the other way round.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,13 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from streampeaks.cells import CellSpace, seed_distance
+from streampeaks.cells import CellSpace, StreamPoint, seed_distance
 from streampeaks.decay import DecayParams, deletion_horizon
 from streampeaks.deptree import Cluster, ClusterSnapshot, DPTree
 from streampeaks.errors import StreamFormatError
-from streampeaks.evolution import EvolutionEvent
+from streampeaks.evolution import EventLog, EvolutionEvent
 from streampeaks.reservoir import OutlierReservoir
-from streampeaks.streams import open_text
+from streampeaks.streams import open_records, open_text
 from streampeaks.tau import ALPHA_GRID, NoConsistentAlpha, UndefinedObjective
 
 
@@ -104,6 +103,21 @@ def batch_dp(points: Sequence[Sequence[float]], params: BatchParams
                      for r, ms in sorted(groups.items()))
     return BatchResult(tuple(int(x) for x in rho), tuple(delta), tuple(dep),
                        outliers, clusters)
+
+
+def nearest_seed(space: CellSpace,
+                 p: StreamPoint) -> Optional[tuple[int, float]]:
+    """Nearest seed over ALL cells, active and inactive, by the store's
+    own scan, which fills ``last_scan``; p is validated first."""
+    space._check_coords(p.coords)
+    return space._scan(p.coords)
+
+
+def query_events(log: EventLog, start: float, end: float, *,
+                 include_start: bool = True) -> list[EvolutionEvent]:
+    """Events with start <= time <= end (start exclusive on request)."""
+    lo = (lambda t: t >= start) if include_start else (lambda t: t > start)
+    return [e for e in log if lo(e.time) and e.time <= end]
 
 
 def recompute_all(space: CellSpace, t: float
@@ -218,6 +232,14 @@ def check_order_index(tree: DPTree) -> bool:
     return tree._order == expect
 
 
+def changed_links(before: dict, after: dict) -> dict:
+    """cell -> (old, new) (parent, delta) for every ``forest_state()``
+    entry of ``after`` that differs from ``before``; a cell new to the
+    tree has old value None."""
+    return {c: (before.get(c), link) for c, link in after.items()
+            if before.get(c) != link}
+
+
 def denser(tree: DPTree, a: int, b: int) -> bool:
     """True when active cell a outranks b (id breaks density ties)."""
     return (-tree.key[a], a) < (-tree.key[b], b)
@@ -277,7 +299,6 @@ def read_events(path: Path) -> list[EvolutionEvent]:
 
 def read_eval(path: Path) -> list[tuple[float, str, float]]:
     """Inverse of ``streams.write_eval``."""
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        return [(float(t), m, float(v)) for t, m, v in reader]
+    with open_records(path) as records:
+        next(records, None)
+        return [(float(t), m, float(v)) for _, (t, m, v) in records]

@@ -35,7 +35,8 @@ from streampeaks.scenarios import builtin, generate
 from streampeaks.streams import list_snapshots, write_events, write_snapshot
 from streampeaks.tau import select_tau
 
-from _oracles import capacity_bound, count_delta, denser, same_clustering
+from _oracles import (capacity_bound, changed_links, count_delta, denser,
+                      same_clustering)
 
 REF = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 
@@ -275,18 +276,19 @@ def _delta_monotonicity_case(rng) -> None:
     """Absorption weakly raises the absorber's delta and only lowers (or
     id-tightens) the delta of every relinked cell."""
     sp, tree = _random_tree(rng)
-    before = dict(tree.delta)
+    before = tree.forest_state()
     c = int(rng.choice(tree.nodes()))
     res = sp.assign_point(StreamPoint.of(sp.cell(c).seed, 0.1))
     assert res.cell_id == c and not res.created
     relinks = tree.on_density_increase(c, PointDistances(sp))
-    assert tree.delta[c] >= before[c]
-    for rl in relinks:
-        if rl.cell == c:
-            continue
-        assert rl.new_delta <= rl.old_delta
-        if rl.new_delta == rl.old_delta:
-            assert rl.old_dep is None or rl.new_dep < rl.old_dep
+    assert tree.delta[c] >= before[c][1]
+    changed = changed_links(before, tree.forest_state())
+    assert relinks == len(changed)
+    for e in changed.keys() - {c}:
+        (old_dep, old_delta), (new_dep, new_delta) = changed[e]
+        assert new_delta <= old_delta
+        if new_delta == old_delta:
+            assert old_dep is None or new_dep < old_dep
 
 
 def _nearest_denser_case(rng) -> None:

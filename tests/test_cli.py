@@ -333,8 +333,10 @@ class TestExitCodes:
         lambda s: {**s, "consumed": -5},
         lambda s: {**s, "alpha": str(s["alpha"])},
         lambda s: {**s, "dim": float(s["dim"])},
+        lambda s: {**s, "config": {**s["config"], "filters": "density-only"}},
     ], ids=["list-at-top", "config-as-list", "recycle-as-bool",
-            "consumed-negative", "alpha-as-string", "dim-as-float"])
+            "consumed-negative", "alpha-as-string", "dim-as-float",
+            "filters-density-only"])
     def test_malformed_state_is_a_config_error(self, toy_run, tmp_path,
                                                capsys, corrupt):
         state = json.loads(toy_run.state.read_text())

@@ -11,6 +11,7 @@ from streampeaks.deptree import DPTree, PointDistances
 from streampeaks.errors import CellStateError
 
 from _oracles import (
+    changed_links,
     check_order_index,
     denser,
     density_filter_skips,
@@ -128,11 +129,13 @@ class TestOnDensityIncrease:
         sp = make_space([(5, (0.0, 0.0)), (3, (1.0, 0.0)), (2, (3.0, 0.0))])
         tree = DPTree.build(sp)
         sp.cell(2).rho_last = 4.0
-        records = tree.on_density_increase(2)
+        before = tree.forest_state()
+        relinks = tree.on_density_increase(2)
         assert tree.parent[2] == 0
         assert tree.delta[2] == pytest.approx(3.0)
         assert tree.parent[1] == 0
-        assert [r.cell for r in records] == [2]
+        assert list(changed_links(before, tree.forest_state())) == [2]
+        assert relinks == 1
         assert_matches_brute(tree)
         assert_equals_scratch(tree)
 
@@ -141,8 +144,7 @@ class TestOnDensityIncrease:
         tree = DPTree.build(sp)
         before = tree.forest_state()
         sp.cell(2).rho_last = 2.5  # still least dense
-        records = tree.on_density_increase(2)
-        assert records == []
+        assert tree.on_density_increase(2) == 0
         assert tree.forest_state() == before
 
     def test_new_peak_takes_over_root(self):
@@ -179,13 +181,13 @@ class TestOnDensityIncrease:
             densities = {e: sp.cell_density_at(e, t) for e in tree.nodes()}
             cid, _ = _absorb_random(sp, tree, rng, t, apply=False)
             absorbed = sp.cell_density_at(cid, t)
-            records = tree.on_density_increase(cid, PointDistances(sp))
-            for rec in records:
-                if rec.cell == cid:
-                    continue
+            before = tree.forest_state()
+            relinks = tree.on_density_increase(cid, PointDistances(sp))
+            changed = changed_links(before, tree.forest_state())
+            assert relinks == len(changed)
+            for e in changed.keys() - {cid}:
                 assert not density_filter_skips(
-                    densities[rec.cell], densities[rec.cell],
-                    densities[cid], absorbed)
+                    densities[e], densities[e], densities[cid], absorbed)
 
 
 class TestInsertActive:
@@ -198,10 +200,13 @@ class TestInsertActive:
         tree = DPTree(sp)
         for cid in (0, 1):
             tree.insert_active(cid)
-        records = tree.insert_active(new)
-        by_cell = {r.cell: r for r in records}
-        assert by_cell[0].new_dep == new
-        assert by_cell[0].new_delta == pytest.approx(0.1)
+        before = tree.forest_state()
+        assert tree.insert_active(new) is None
+        changed = changed_links(before, tree.forest_state())
+        assert set(changed) == {0, 1, new}
+        new_dep, new_delta = changed[0][1]
+        assert new_dep == new
+        assert new_delta == pytest.approx(0.1)
         assert tree.parent[new] is None
         assert_equals_scratch(tree)
 
@@ -213,8 +218,9 @@ class TestInsertActive:
         tree = DPTree(sp)
         for cid in (0, 1):
             tree.insert_active(cid)
-        records = tree.insert_active(res.cell_id)
-        assert records == []
+        before = tree.forest_state()
+        tree.insert_active(res.cell_id)
+        assert list(changed_links(before, tree.forest_state())) == [res.cell_id]
         assert tree.parent[res.cell_id] == 1
         assert tree.delta[res.cell_id] == pytest.approx(9.0)
         assert_equals_scratch(tree)
@@ -228,7 +234,9 @@ class TestInsertActive:
         tree = DPTree(sp)
         for cid in (0, 1):
             tree.insert_active(cid)
-        assert tree.insert_active(2) == []
+        before = tree.forest_state()
+        tree.insert_active(2)
+        assert list(changed_links(before, tree.forest_state())) == [2]
         assert tree.seed_dists[2][1] == tree.seed_dists[2][0] == tree.delta[2]
         assert tree.parent[2] == 0
         for e in (0, 1):
@@ -440,7 +448,7 @@ class TestIncrementalEqualsScratch:
 
 class TestFilterEquivalence:
     def test_all_modes_identical_work_strictly_ordered(self):
-        """1000 random absorptions: identical forests and relink records
+        """1000 random absorptions: identical forests and relink counts
         across filter modes, with strictly decreasing distance work."""
         replicas = {}
         for mode in ("off", "density", "both"):
@@ -452,8 +460,8 @@ class TestFilterEquivalence:
             for mode, (sp, tree, rng, t) in replicas.items():
                 t += float(rng.random()) * 0.3
                 cid, res = _absorb_random(sp, tree, rng, t, apply=False)
-                records = tree.on_density_increase(cid, PointDistances(sp))
-                outputs[mode] = (cid, records, tree.forest_state())
+                relinks = tree.on_density_increase(cid, PointDistances(sp))
+                outputs[mode] = (cid, relinks, tree.forest_state())
                 replicas[mode] = (sp, tree, rng, t)
             assert outputs["off"] == outputs["density"] == outputs["both"]
         evals = {mode: tree.seed_distance_evals

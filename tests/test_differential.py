@@ -4,6 +4,8 @@ after every point, plus a twin engine with the update filters off.
 At every sweep, tau, its candidates, the snapshot and the events are
 recomputed from the forest, whether the sweep re-selected them or kept
 them because the forest had not changed.
+At every point, the relinks counter must move by exactly the number of
+links the point changed in the forest.
 
 Streams sit on a lattice of multiples of r/2 (exact distance ties,
 points exactly at r, repeated seeds), repeat timestamps, and jump past
@@ -31,7 +33,7 @@ from streampeaks.engine import EngineConfig, StreamEngine
 from streampeaks.evolution import diff_snapshots
 from streampeaks.tau import candidate_taus, select_tau
 
-from _oracles import check_order_index
+from _oracles import changed_links, check_order_index
 
 R = 1.0
 BASE = dict(r=R, a=0.9, lam=1.0, v=4.0, beta=0.04, tau0=1.5, alpha=0.2,
@@ -73,6 +75,19 @@ class EngineMachine(RuleBasedStateMachine):
         self.threshold = active_threshold(self.engine.params)
         self.swept = False
         self._check_subtree_removals(self.engine.tree)
+        self.links_at_sweep: dict = {}
+        for eng in (self.engine, self.twin):
+            self._record_links_at_sweeps(eng)
+
+    def _record_links_at_sweeps(self, eng: StreamEngine) -> None:
+        """Keep the forest's links as each sweep finds them."""
+        sweep = eng._sweep
+
+        def recorded(t):
+            self.links_at_sweep[eng] = eng.tree.forest_state()
+            return sweep(t)
+
+        eng._sweep = recorded
 
     def _check_subtree_removals(self, tree: DPTree) -> None:
         """Every ``remove_subtree`` result must equal the cells whose
@@ -97,6 +112,8 @@ class EngineMachine(RuleBasedStateMachine):
         eng = self.engine
         sweeps, selections = eng.sweep_count, self.seen["selections"]
         tau_before, snap_before = eng.tau_state.tau, eng.last_snapshot
+        before = {e: (e.tree.forest_state(), e.counters())
+                  for e in (eng, self.twin)}
         events = eng.process_point(p)
         reselected = self.seen["selections"] > selections
         self.twin.process_point(p)
@@ -104,9 +121,26 @@ class EngineMachine(RuleBasedStateMachine):
         if res.created:
             self.founded.add(res.cell_id)
         self.swept = eng.sweep_count > sweeps
+        for e, (links, counts) in before.items():
+            self._check_relink_count(e, links, counts)
         if self.swept:
             self._check_sweep(tau_before, snap_before, events)
             self.seen["full_sweeps" if reselected else "quiet_sweeps"] += 1
+
+    def _check_relink_count(self, eng, links, counts):
+        """A point an active cell absorbed moves the relinks counter by
+        exactly the number of links it changed; any other point, an
+        activation included, does not move it."""
+        res, now = eng.last_assign, eng.counters()
+        moved = now["relinks"] - counts["relinks"]
+        if not res.created and res.cell_id in links:
+            after = (self.links_at_sweep[eng] if self.swept
+                     else eng.tree.forest_state())
+            assert moved == len(changed_links(links, after))
+            self.seen["relinks"] += moved
+        else:
+            assert moved == 0
+            self.seen["activations"] += now["activations"] - counts["activations"]
 
     def _check_sweep(self, tau_before, snap_before, events):
         """Tau, its candidates, the clusters and the events of the sweep
@@ -189,6 +223,8 @@ def test_engine_matches_references_point_by_point(monkeypatch):
     assert seen["removed_cells"] > 0
     assert seen["recycled_at_sweep"] > 0
     assert seen["cached_pairs"] > 0
+    assert seen["relinks"] > 0
+    assert seen["activations"] > 0
     # Sweeps that keep the last tau and clusters, and sweeps that
     # re-select them, are both checked against the recomputation.
     assert seen["quiet_sweeps"] > 0

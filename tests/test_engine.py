@@ -110,11 +110,6 @@ filters = both
                 self.write(tmp_path, f"r = 1\nrecycle = {word}\n"))
             assert cfg.recycle is want
 
-    def test_filters_density_only_alias(self, tmp_path):
-        cfg = EngineConfig.from_file(
-            self.write(tmp_path, "r = 1\nfilters = density-only\n"))
-        assert cfg.filters == "density"
-
     def test_mapping_round_trip(self):
         cfg = EngineConfig(r=1.6, lam=1000.0, tau0=5.0, alpha=0.05,
                            recycle=False, filters="off")

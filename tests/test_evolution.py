@@ -8,7 +8,7 @@ from streampeaks.deptree import Cluster, ClusterSnapshot
 from streampeaks.errors import OutOfOrderTimestamp
 from streampeaks.evolution import EventLog, EvolutionEvent, diff_snapshots
 
-from _oracles import count_delta
+from _oracles import count_delta, query_events
 from _snapshots import snapshot_pair
 
 
@@ -194,9 +194,9 @@ class TestEventLog:
         log = EventLog()
         for t in (1.0, 2.0, 3.0):
             log.append(EvolutionEvent(t, "Emerge", (), (int(t),)))
-        assert [e.time for e in log.query(1.0, 2.0)] == [1.0, 2.0]
-        assert [e.time for e in log.query(2.0, 3.0, include_start=False)] \
-            == [3.0]
+        assert [e.time for e in query_events(log, 1.0, 2.0)] == [1.0, 2.0]
+        assert [e.time for e in query_events(
+            log, 2.0, 3.0, include_start=False)] == [3.0]
 
     @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=1,
                     max_size=30),
@@ -206,9 +206,9 @@ class TestEventLog:
         log = EventLog()
         for i, t in enumerate(sorted(times)):
             log.append(EvolutionEvent(t, "Emerge", (), (i,)))
-        left = log.query(t1, t2)
-        right = log.query(t2, t3, include_start=False)
-        assert left + right == log.query(t1, t3)
+        left = query_events(log, t1, t2)
+        right = query_events(log, t2, t3, include_start=False)
+        assert left + right == query_events(log, t1, t3)
 
 
 class TestDiffProperties:

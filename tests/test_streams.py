@@ -233,26 +233,30 @@ class TestCountersAndEval:
 
 
 class TestUnreadableRecords:
-    """A record the csv module refuses is a format error naming the file
-    and the line the record starts on, which need not be its count."""
+    """A record the csv module refuses, or a bad value in a record, is a
+    format error naming the file and the physical line the record starts
+    on, which need not be its count."""
 
     LONG = "9" * 200_000
 
-    @pytest.mark.parametrize("reader, text, line", [
-        (read_stream, "t,x1\n0,{long}\n", 2),
-        (read_stream, 't,x1,label\n0,1,"a\nb"\n1,{long},L\n', 4),
-        (read_stream, "t,{long}\n0,1\n", 1),
+    @pytest.mark.parametrize("reader, text, line, error", [
+        (read_stream, "t,x1\n0,{long}\n", 2, "field larger"),
+        (read_stream, 't,x1,label\n0,1,"a\nb"\n1,{long},L\n', 4,
+         "field larger"),
+        (read_stream, "t,{long}\n0,1\n", 1, "field larger"),
         (read_snapshot, "cell_id,cluster_id,rho,delta,x1\n0,0,1.0,inf,0.0\n"
-                        "1,0,0.5,1.0,{long}\n", 3),
-        (read_counters, "counter,value\na,1\nb,{long}\n", 3),
+                        "1,0,0.5,1.0,{long}\n", 3, "field larger"),
+        (read_counters, "counter,value\na,1\nb,{long}\n", 3, "field larger"),
+        (read_stream, 't,x1,label\n0,1,"a\nb"\n1,x,L\n', 4,
+         "could not convert"),
     ], ids=["stream", "stream-after-two-line-record", "stream-header",
-            "snapshot", "counters"])
+            "snapshot", "counters", "bad-value-after-two-line-record"])
     def test_long_field_names_file_and_line(self, tmp_path, reader, text,
-                                            line):
+                                            line, error):
         path = tmp_path / snapshot_filename(0, 1.5)
         path.write_text(text.format(long=self.LONG), newline="")
         with pytest.raises(StreamFormatError,
-                           match=re.escape(f"{path.name}: line {line}: field larger")):
+                           match=re.escape(f"{path.name}: line {line}: {error}")):
             reader(path)
 
 
